@@ -9,8 +9,8 @@
 // alternative a skeleton-only system forces is rescattering the whole grid
 // every sweep; the baseline here measures exactly that (build_array1 of the
 // full grid per sweep through the scheduled path would drown the signal, so
-// the baseline ships each slab's full payload through the same isend path
-// the halo bands use).
+// the baseline ships each slab's full payload through the same zero-copy
+// send path the halo bands use).
 //
 // Measured: rank-0 wall time of the sweep loop, CommStats.views halo
 // counters (halo_bytes, ghost_cells, halo_overlap_seconds), and the

@@ -23,6 +23,8 @@
 // *type*, which is how the same binary can deserialize the task; see
 // DESIGN.md on the closure-serialization substitution.)
 
+#include <optional>
+
 #include "core/consume.hpp"
 #include "core/skeletons.hpp"
 #include "dist/dist_array.hpp"
@@ -56,47 +58,30 @@ struct NodeRuntime {
 namespace detail {
 
 /// Root slices + scatters; every rank returns its own localpar-hinted chunk.
-/// The root posts every remote slice as an isend before touching its own
-/// chunk: serialization and delivery of P-1 slices run on the progress
-/// engine, overlapped with the root's local compute (slices own their data,
-/// so dropping the handles is safe; send errors resurface at the root's
-/// next blocking receive — the combine step).
+/// Each send completes in the call (the transport copies or takes over the
+/// payload), so the root sends every remote slice and then starts on its
+/// own chunk; a send error throws at the root right here.
 template <typename MakeIter>
 auto scatter_chunks(net::Comm& comm, MakeIter&& make) {
   using It = decltype(make());
   // Residency-aware path: iterators over resident sources (DistArray /
   // DistContext) consult the per-destination cache model while serializing,
-  // so a slice the receiver already holds shrinks to a checksum token. The
-  // serialization runs eagerly on the rank thread (cheap: bulk array bytes
-  // become borrowed segments, not copies) under the per-destination encode
-  // scope; the gather and delivery still overlap on the progress engine,
-  // with the sliced iterator kept alive alongside the pending send.
+  // so a slice the receiver already holds shrinks to a checksum token.
   constexpr bool kResident = core::iter_uses_residency_v<It>;
   if (comm.rank() == 0) {
     It it = make();
     auto chunks = core::split_blocks(it.domain(), comm.size());
-    if constexpr (kResident) {
-      if (comm.residency_enabled()) {
-        net::install_residency_fetch_service(comm);
-        for (int r = 1; r < comm.size(); ++r) {
-          auto slice = std::make_shared<It>(
-              it.slice(chunks[static_cast<std::size_t>(r)]));
-          serial::SegmentedBytes sg;
-          {
-            net::ResidencyEncodeScope scope(
-                comm, r,
-                core::iter_is_fused_view_v<It> ? &comm.view_stats() : nullptr);
-            sg = serial::to_segments(*slice);
-          }
-          (void)comm.isend_segments(r, kTagTask, std::move(sg),
-                                    std::move(slice));
-        }
-        return core::localpar(it.slice(chunks[0]));
-      }
-    }
+    bool resident = false;
+    if constexpr (kResident) resident = comm.residency_enabled();
+    if (resident) net::install_residency_fetch_service(comm);
     for (int r = 1; r < comm.size(); ++r) {
-      (void)comm.isend(r, kTagTask,
-                       it.slice(chunks[static_cast<std::size_t>(r)]));
+      std::optional<net::ResidencyEncodeScope> scope;
+      if (resident) {
+        scope.emplace(comm, r,
+                      core::iter_is_fused_view_v<It> ? &comm.view_stats()
+                                                     : nullptr);
+      }
+      comm.send(r, kTagTask, it.slice(chunks[static_cast<std::size_t>(r)]));
     }
     return core::localpar(it.slice(chunks[0]));
   }

@@ -12,7 +12,7 @@ namespace triolet::net {
 
 ClusterResult Cluster::run(int nranks, const std::function<void(Comm&)>& body,
                            const ClusterOptions& options) {
-  // Startup audit: every reserved tag band (user, scheduler, async-progress,
+  // Startup audit: every reserved tag band (user, scheduler, residency,
   // group relay, collectives) must be pairwise disjoint, or wildcard-free
   // matching could steal another subsystem's messages.
   assert_tag_bands_disjoint();
@@ -29,9 +29,6 @@ ClusterResult Cluster::run(int nranks, const std::function<void(Comm&)>& body,
     Comm comm(rank, &state);
     try {
       body(comm);
-      // Drain queued isends so a fire-and-forget error surfaces as a rank
-      // failure rather than vanishing with the progress engine.
-      comm.flush_async();
     } catch (const ClusterAborted&) {
       // Secondary failure: this rank was blocked when a peer died.
     } catch (const std::exception& e) {
@@ -44,9 +41,6 @@ ClusterResult Cluster::run(int nranks, const std::function<void(Comm&)>& body,
       }
       state.abort_all();
     }
-    // Quiesce before reading stats: the progress engine may still be
-    // retiring cancelled ops after an abort.
-    comm.quiesce();
     std::lock_guard<std::mutex> lock(result_mu);
     result.total_stats += comm.stats();
   };

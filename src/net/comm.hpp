@@ -25,16 +25,15 @@
 // linear left fold for callers that assert the historical rounding.
 
 #include <array>
+#include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <optional>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "net/progress.hpp"
 #include "net/transport.hpp"
 #include "net/slice_cache.hpp"
 #include "net/tags.hpp"
@@ -44,7 +43,7 @@
 
 namespace triolet::net {
 // Reserved tag constants (kFirstReservedTag, kTagSchedBand / Request /
-// Grant, kTagAsyncBand, kTagGroupBand) live in net/tags.hpp, one registry
+// Grant, kTagResidencyBand, kTagGroupBand) live in net/tags.hpp, one registry
 // audited by assert_tag_bands_disjoint() at Cluster startup.
 
 /// Collective kinds tracked by the per-collective traffic counters.
@@ -246,41 +245,6 @@ inline ViewStats operator-(ViewStats a, const ViewStats& b) {
   return a;
 }
 
-/// Messaging data-plane counters (the snapshot image of the transport's
-/// MsgCounters shards): protocol split and buffer-pool behavior. After
-/// warmup, pool_misses staying flat is the zero-steady-state-allocation
-/// property; ring_full_stalls counts sends that overflowed a full ring into
-/// the (ordered, unbounded) overflow lane.
-struct MsgStats {
-  std::int64_t eager_msgs = 0;        // payloads copied into pooled slabs
-  std::int64_t rendezvous_msgs = 0;   // payloads handed off whole
-  std::int64_t pool_hits = 0;         // slab allocations served by freelists
-  std::int64_t pool_misses = 0;       // slab allocations that hit the heap
-  std::int64_t ring_full_stalls = 0;  // sends diverted to the overflow lane
-
-  MsgStats& operator+=(const MsgStats& o) {
-    eager_msgs += o.eager_msgs;
-    rendezvous_msgs += o.rendezvous_msgs;
-    pool_hits += o.pool_hits;
-    pool_misses += o.pool_misses;
-    ring_full_stalls += o.ring_full_stalls;
-    return *this;
-  }
-  MsgStats& operator-=(const MsgStats& o) {
-    eager_msgs -= o.eager_msgs;
-    rendezvous_msgs -= o.rendezvous_msgs;
-    pool_hits -= o.pool_hits;
-    pool_misses -= o.pool_misses;
-    ring_full_stalls -= o.ring_full_stalls;
-    return *this;
-  }
-};
-
-inline MsgStats operator-(MsgStats a, const MsgStats& b) {
-  a -= b;
-  return a;
-}
-
 struct CommStats {
   std::int64_t messages_sent = 0;
   std::int64_t bytes_sent = 0;
@@ -428,8 +392,6 @@ class Comm {
       : rank_(rank),
         state_(state),
         tags_(tags),
-        // Attached eagerly so the progress engine can use the cached
-        // endpoint without racing a lazy initialization.
         endpoint_(&state->transport->attach(rank, tags.base)),
         shared_residency_(shared_residency),
         job_aborted_(job_aborted) {}
@@ -462,63 +424,23 @@ class Comm {
     send_segments(dst, tag, sg);
   }
 
-  /// Sends a pre-built scatter-gather payload (blocking; the borrowed
-  /// segments only need to live for the duration of the call).
+  /// Sends a pre-built scatter-gather payload. The transport gathers the
+  /// borrowed segments before returning, so they only need to live for the
+  /// duration of the call.
   void send_segments(int dst, int tag, serial::SegmentedBytes sg);
 
-  // -- asynchronous point to point --------------------------------------------
+  // Every send completes in the call: the transport copies or takes over
+  // the payload before returning, so the caller's buffers are reusable at
+  // once and a delivery error (e.g. BufferOverflow) throws here. Sends from
+  // one rank to one (dst, tag) arrive in call order.
   //
-  // isend hands the value to the per-rank progress engine: serialization,
-  // checksum, and delivery run on the engine thread, overlapping with the
-  // caller's compute. Posting order is delivery order (the engine is FIFO),
-  // and blocking sends flush the engine first, so async and sync sends to
-  // the same (dst, tag) can never reorder. irecv is a posted match: wait()
-  // blocks for it, test() polls, wait_any races several. All handles are
-  // cancelled with ClusterAborted if the cluster aborts.
-
-  /// Asynchronous typed send: takes `v` by value (moved into the engine)
-  /// so the caller's buffers are immediately reusable. Dropping the handle
-  /// detaches the send; its errors resurface on the next flush.
-  template <typename T>
-  PendingSend isend(int dst, int tag, T v) {
-    check_dst(dst);
-    auto value = std::make_shared<T>(std::move(v));
-    return PendingSend(engine().post([this, dst, tag, value] {
-      deliver_segments(dst, tag, serial::to_segments(*value),
-                       /*collective=*/-1, kEngineShard);
-    }));
-  }
-
-  /// Asynchronous raw-bytes send.
-  PendingSend isend_bytes(int dst, int tag, std::vector<std::byte> payload);
-
-  /// Asynchronous send of a pre-built scatter-gather payload: the gather of
-  /// borrowed segments runs on the engine thread (overlapping the caller's
-  /// compute), and `keepalive` is held until delivery so whatever the
-  /// borrowed spans reference stays alive. This is how residency-aware
-  /// senders ship an eagerly-serialized payload without losing overlap.
-  PendingSend isend_segments(int dst, int tag, serial::SegmentedBytes sg,
-                             std::shared_ptr<const void> keepalive);
+  // Receives are split-phase: irecv is a posted match, wait() blocks for
+  // it, test() polls, wait_any races several. Matching is pull-based, so no
+  // thread runs behind a handle; a blocked wait throws ClusterAborted if
+  // the cluster aborts.
 
   /// Posts an asynchronous receive for (src, tag); wildcards as in recv.
   PendingRecv irecv(int src, int tag);
-
-  /// Blocks until every engine-posted operation has completed; rethrows
-  /// the first error from detached sends. Called implicitly by blocking
-  /// sends (ordering) and by Cluster::run when the rank body returns.
-  void flush_async() {
-    if (engine_) engine_->flush();
-  }
-
-  /// flush_async for the shutdown path: never throws.
-  void quiesce() noexcept {
-    try {
-      flush_async();
-    } catch (...) {
-      // The first root-cause error was already recorded by the rank body
-      // or will be surfaced by the cluster's abort machinery.
-    }
-  }
 
   /// Blocking receive matching (src, tag); wildcards kAnySource / kAnyTag.
   Message recv_message(int src, int tag);
@@ -802,31 +724,11 @@ class Comm {
   /// This rank's counters (an aggregated snapshot; see snapshot_stats).
   CommStats stats() const { return snapshot_stats(); }
 
-  /// Coherent copy of this rank's counters. Send-side traffic is recorded
-  /// in per-producing-thread shards of relaxed atomics (rank thread and
-  /// progress engine each own one — no lock and no shared cache line on
-  /// the send path); the shards are summed into the plain
-  /// rank-thread-owned fields here. Two snapshots subtract into the delta
+  /// Copy of this rank's counters. Two snapshots subtract into the delta
   /// of everything between them: `auto d = comm.snapshot_stats() - before;`
   /// — the per-round attribution the autotuner and the benches are built
   /// on.
-  CommStats snapshot_stats() const {
-    CommStats out = stats_;
-    for (const SendShard& s : send_shards_) {
-      out.messages_sent += s.messages_sent.load(std::memory_order_relaxed);
-      out.bytes_sent += s.bytes_sent.load(std::memory_order_relaxed);
-      out.bytes_zero_copy += s.bytes_zero_copy.load(std::memory_order_relaxed);
-      out.bytes_copied += s.bytes_copied.load(std::memory_order_relaxed);
-      out.msg.eager_msgs += s.msg.eager_msgs.load(std::memory_order_relaxed);
-      out.msg.rendezvous_msgs +=
-          s.msg.rendezvous_msgs.load(std::memory_order_relaxed);
-      out.msg.pool_hits += s.msg.pool_hits.load(std::memory_order_relaxed);
-      out.msg.pool_misses += s.msg.pool_misses.load(std::memory_order_relaxed);
-      out.msg.ring_full_stalls +=
-          s.msg.ring_full_stalls.load(std::memory_order_relaxed);
-    }
-    return out;
-  }
+  CommStats snapshot_stats() const { return stats_; }
 
   /// Mutable scheduler counters: the sched/ layer records its protocol
   /// activity here so cluster-level CommStats aggregation picks it up.
@@ -930,8 +832,6 @@ class Comm {
         : comm_(&c), owner_(c.active_collective_ < 0) {
       if (owner_) {
         comm_->active_collective_ = static_cast<int>(k);
-        // Rank-thread-only state: collectives run on the rank thread, and
-        // the per-collective counters are never touched by the engine.
         comm_->stats_.collectives[static_cast<std::size_t>(k)].calls += 1;
       }
     }
@@ -953,27 +853,6 @@ class Comm {
   void bcast_bytes(std::vector<std::byte>& bytes, int root, int tag_base);
 
   friend class PendingRecv;
-
-  void check_dst(int dst) const {
-    TRIOLET_CHECK(dst >= 0 && dst < size(), "send to invalid rank");
-    TRIOLET_CHECK(dst != rank_, "self-sends are not supported; use local data");
-  }
-
-  /// The per-rank progress engine, started on first use.
-  ProgressEngine& engine() {
-    if (!engine_) {
-      engine_ = std::make_unique<ProgressEngine>(&state_->aborted);
-    }
-    return *engine_;
-  }
-
-  /// Hands a scatter-gather payload to the transport endpoint for `dst`.
-  /// Runs on the rank thread (blocking sends, shard = kRankShard) or the
-  /// engine thread (isends, shard = kEngineShard); each caller passes its
-  /// own shard so send accounting is plain relaxed atomics, never a lock.
-  void deliver_segments(int dst, int tag, serial::SegmentedBytes sg,
-                        int collective, std::size_t shard = kRankShard);
-
   friend std::size_t wait_any(std::span<PendingRecv> recvs);
 
   /// Checksum + receive-side accounting shared by every recv flavor.
@@ -994,35 +873,17 @@ class Comm {
 
   int rank_;
   ClusterState* state_;
-  /// Canonical-to-leased-band tag map; immutable after construction, so
-  /// mapping is safe from both the rank thread and the progress engine.
+  /// Canonical-to-leased-band tag map; immutable after construction.
   TagMap tags_;
-  /// The transport endpoint for this rank in its tag band, attached eagerly
-  /// in the constructor so the engine thread never races a lazy init.
+  /// The transport endpoint for this rank in its tag band.
   Transport::Endpoint* endpoint_ = nullptr;
   /// Manager-owned per-rank residency (null outside the service layer).
   Residency* shared_residency_ = nullptr;
   /// Per-job-group abort flag (null outside the service layer).
   std::atomic<bool>* job_aborted_ = nullptr;
-  /// Rank-thread-only stats (receives, collectives, views, residency).
-  /// Send-side counters live in send_shards_ because the progress engine
-  /// records isend traffic concurrently with the rank thread's own sends.
+  /// Rank-thread-only stats: only the rank thread sends and receives, and
+  /// the transport increments stats_.msg inside deliver().
   CommStats stats_;
-
-  static constexpr std::size_t kRankShard = 0;
-  static constexpr std::size_t kEngineShard = 1;
-  /// One shard per producing thread. Index with kRankShard / kEngineShard;
-  /// snapshot_stats() sums both into the plain CommStats mirror, so no
-  /// lock ever sits on the send path.
-  struct alignas(64) SendShard {
-    std::atomic<std::int64_t> messages_sent{0};
-    std::atomic<std::int64_t> bytes_sent{0};
-    std::atomic<std::int64_t> bytes_zero_copy{0};
-    std::atomic<std::int64_t> bytes_copied{0};
-    MsgCounters msg;
-  };
-  SendShard send_shards_[2];
-  std::unique_ptr<ProgressEngine> engine_;
   std::unique_ptr<Residency> residency_;
   /// (tag, handler) pairs, rank-thread only.
   std::vector<std::pair<int, std::function<void(Message&)>>> services_;

@@ -141,7 +141,7 @@ class Domain {
   int nranks() const { return nranks_; }
 
   void deliver(int src, int dst, int tag, serial::SegmentedBytes sg,
-               MsgCounters& mc) {
+               MsgStats& mc) {
     const std::size_t n = sg.size();
     if (max_message_bytes_ != 0 && n > max_message_bytes_) {
       throw BufferOverflow();
@@ -158,13 +158,12 @@ class Domain {
         sg.gather_into(a.p);
         d.ptr = a.p;
         d.pclass = a.cls;
-        (a.pool_hit ? mc.pool_hits : mc.pool_misses)
-            .fetch_add(1, std::memory_order_relaxed);
+        (a.pool_hit ? mc.pool_hits : mc.pool_misses) += 1;
         if (sg.all_owned()) {
           serial::recycle_stream_buffer(sg.take_owned_storage());
         }
       }
-      mc.eager_msgs.fetch_add(1, std::memory_order_relaxed);
+      mc.eager_msgs += 1;
     } else {
       d.kind = RingDesc::kRendezvous;
       std::vector<std::byte> flat;
@@ -180,13 +179,12 @@ class Domain {
       BufferPool::Alloc a = BufferPool::instance().allocate(sizeof(RzNode));
       d.ptr = new (a.p) RzNode{std::move(flat)};
       d.pclass = a.cls;
-      (a.pool_hit ? mc.pool_hits : mc.pool_misses)
-          .fetch_add(1, std::memory_order_relaxed);
-      mc.rendezvous_msgs.fetch_add(1, std::memory_order_relaxed);
+      (a.pool_hit ? mc.pool_hits : mc.pool_misses) += 1;
+      mc.rendezvous_msgs += 1;
     }
     RxState& r = rx(dst);
     if (!r.rings[static_cast<std::size_t>(src)].push(d)) {
-      mc.ring_full_stalls.fetch_add(1, std::memory_order_relaxed);
+      mc.ring_full_stalls += 1;
     }
     r.parker.wake();
   }
@@ -241,7 +239,7 @@ class RingEndpoint final : public Transport::Endpoint {
   RingEndpoint(Domain* domain, int rank) : domain_(domain), rank_(rank) {}
 
   void deliver(int dst, int tag, serial::SegmentedBytes sg,
-               MsgCounters& mc) override {
+               MsgStats& mc) override {
     domain_->deliver(rank_, dst, tag, std::move(sg), mc);
   }
 

@@ -30,7 +30,7 @@
 // Ring overflow never blocks or drops: each pair also has a mutex-guarded
 // unbounded overflow deque. Once a send overflows, subsequent sends append
 // there (preserving order) until the receiver has drained both; the stall
-// is counted in MsgCounters::ring_full_stalls.
+// is counted in MsgStats::ring_full_stalls.
 //
 // This header exposes the building blocks (descriptor, ring, match table)
 // so they can be unit-tested in isolation; the Transport implementation

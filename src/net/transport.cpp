@@ -78,7 +78,7 @@ class MailboxTransport final : public Transport {
     MailboxEndpoint(MailboxTransport* t, int rank) : t_(t), rank_(rank) {}
 
     void deliver(int dst, int tag, serial::SegmentedBytes sg,
-                 MsgCounters& /*counters*/) override {
+                 MsgStats& /*counters*/) override {
       Message m;
       m.src = rank_;
       m.tag = tag;

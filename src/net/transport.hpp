@@ -24,10 +24,8 @@
 // environment variable ("ring" | "mailbox"), else ring.
 //
 // Threading contract (both backends satisfy it; future backends must):
-//   - deliver() on an endpoint attached as rank r may be called by r's rank
-//     thread and r's progress-engine thread, but never concurrently for the
-//     same (endpoint) — Comm guarantees this by flushing the engine before
-//     every blocking send.
+//   - deliver() on an endpoint attached as rank r is called only by r's
+//     rank thread, and gathers every borrowed segment before returning.
 //   - pop_match / pop_match_any / try_pop_match on an endpoint are called
 //     only by the owning rank thread.
 //   - purge_tag_range(lo, hi) requires the tag range to be quiescent: no
@@ -67,16 +65,41 @@ struct TransportOptions {
   long eager_bytes = -1;
 };
 
-/// Message-plane counters a transport increments as it moves traffic.
-/// Relaxed atomics because Comm keeps one shard per producing thread (rank
-/// thread, progress engine) and only sums them at snapshot time.
-struct MsgCounters {
-  std::atomic<std::int64_t> eager_msgs{0};
-  std::atomic<std::int64_t> rendezvous_msgs{0};
-  std::atomic<std::int64_t> pool_hits{0};
-  std::atomic<std::int64_t> pool_misses{0};
-  std::atomic<std::int64_t> ring_full_stalls{0};
+/// Messaging data-plane counters a transport increments as it moves
+/// traffic: protocol split and buffer-pool behavior. After warmup,
+/// pool_misses staying flat is the zero-steady-state-allocation property;
+/// ring_full_stalls counts sends that overflowed a full ring into the
+/// (ordered, unbounded) overflow lane. Plain fields: only the sending rank
+/// thread touches them.
+struct MsgStats {
+  std::int64_t eager_msgs = 0;        // payloads copied into pooled slabs
+  std::int64_t rendezvous_msgs = 0;   // payloads handed off whole
+  std::int64_t pool_hits = 0;         // slab allocations served by freelists
+  std::int64_t pool_misses = 0;       // slab allocations that hit the heap
+  std::int64_t ring_full_stalls = 0;  // sends diverted to the overflow lane
+
+  MsgStats& operator+=(const MsgStats& o) {
+    eager_msgs += o.eager_msgs;
+    rendezvous_msgs += o.rendezvous_msgs;
+    pool_hits += o.pool_hits;
+    pool_misses += o.pool_misses;
+    ring_full_stalls += o.ring_full_stalls;
+    return *this;
+  }
+  MsgStats& operator-=(const MsgStats& o) {
+    eager_msgs -= o.eager_msgs;
+    rendezvous_msgs -= o.rendezvous_msgs;
+    pool_hits -= o.pool_hits;
+    pool_misses -= o.pool_misses;
+    ring_full_stalls -= o.ring_full_stalls;
+    return *this;
+  }
 };
+
+inline MsgStats operator-(MsgStats a, const MsgStats& b) {
+  a -= b;
+  return a;
+}
 
 class Transport {
  public:
@@ -92,7 +115,7 @@ class Transport {
     /// before return, so they only need to live for the call. Throws
     /// BufferOverflow when sg.size() exceeds the configured limit.
     virtual void deliver(int dst, int tag, serial::SegmentedBytes sg,
-                         MsgCounters& counters) = 0;
+                         MsgStats& counters) = 0;
 
     /// Blocks until a message matching (src, tag) is available and removes
     /// it. kAnySource / kAnyTag act as wildcards; a kAnyTag pattern only

@@ -34,7 +34,6 @@
 // overhead (docs/INTERNALS.md "Distributed scheduling").
 
 #include <algorithm>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -194,11 +193,7 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
     // outstanding (the termination invariant the root's done-counting
     // relies on); prefetch only moves *when* it is posted.
     auto post_request = [&] {
-      if (opts.prefetch) {
-        (void)comm.isend(0, tag_request, std::uint8_t{0});
-      } else {
-        comm.send(0, tag_request, std::uint8_t{0});
-      }
+      comm.send(0, tag_request, std::uint8_t{0});
       sched.requests_sent += 1;
       sched.control_messages += 1;
       sched.control_bytes += 1;
@@ -283,27 +278,20 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
     if (opts.gate) opts.gate->before_grant(units_of(a, b));
   };
 
-  // Grant transport. Non-resident path: plain isend (serialize + deliver on
-  // the progress engine). Resident path: serialize eagerly on this thread
-  // under the per-destination encode scope — token substitution must see
-  // grants in posting order to mirror the worker's cache — then hand the
-  // segments to the engine with the Grant kept alive for zero-copy gather.
+  // Grant transport: the send completes in the call (the transport copies
+  // or takes over the payload), so the root goes straight back to serving
+  // or computing. Resident grants serialize under the per-destination
+  // encode scope — token substitution must see grants in send order to
+  // mirror the worker's cache.
   if (resident) net::install_residency_fetch_service(comm);
-  auto send_grant = [&](int r, Grant<It> g) {
+  auto send_grant = [&](int r, const Grant<It>& g) {
+    std::optional<net::ResidencyEncodeScope> scope;
     if (resident) {
-      auto grant = std::make_shared<Grant<It>>(std::move(g));
-      serial::SegmentedBytes sg;
-      {
-        net::ResidencyEncodeScope scope(
-            comm, r,
-            core::iter_is_fused_view_v<It> ? &comm.view_stats() : nullptr);
-        sg = serial::to_segments(*grant);
-      }
-      (void)comm.isend_segments(r, tag_grant, std::move(sg),
-                                std::move(grant));
-    } else {
-      (void)comm.isend(r, tag_grant, std::move(g));
+      scope.emplace(comm, r,
+                    core::iter_is_fused_view_v<It> ? &comm.view_stats()
+                                                   : nullptr);
     }
+    comm.send(r, tag_grant, g);
   };
 
   if (opts.policy == SchedulePolicy::kStatic) {
@@ -313,8 +301,6 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
       const index_t a = natoms * r / p;
       const index_t b = natoms * (r + 1) / p;
       gate_items(a, b);
-      // Delivery of the pushed grants runs on the progress engine while the
-      // root executes its own block below.
       send_grant(r, Grant<It>{0, a, b - a, grain, slice_run(a, b)});
       sched.grants_served += 1;
       sched.control_messages += 1;
@@ -341,9 +327,6 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
                             ? 1
                             : std::min(remaining, guided_run_atoms(remaining, p));
       gate_items(next, next + n);
-      // Grants leave through the progress engine: the root can resume its
-      // own atom (or serve the next request) while the grant delivers
-      // off-thread.
       send_grant(requester, Grant<It>{0, next, n, grain, slice_run(next, next + n)});
       next += n;
       sched.grants_served += 1;

@@ -267,7 +267,9 @@ class ByteReader {
   void read_raw(void* out, std::size_t n) {
     TRIOLET_CHECK(n <= bytes_.size() - pos_,
                   "deserialization read past end of buffer");
-    std::memcpy(out, bytes_.data() + pos_, n);
+    // An empty vector's data() may be null, and memcpy requires non-null
+    // pointers even for zero bytes.
+    if (n != 0) std::memcpy(out, bytes_.data() + pos_, n);
     pos_ += n;
   }
 

@@ -99,27 +99,29 @@ std::optional<JobHandle> JobManager::try_submit(JobOptions opts, JobBody body) {
 void JobManager::drain() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_drain_.wait(lock, [&] { return inflight_ == 0; });
+  // inflight_ == 0 means every group has moved itself to finished_groups_.
+  reap_finished_groups();
+}
+
+void JobManager::reap_finished_groups() {
+  // Joining under mu_ is safe: a finished group's last use of mu_ was the
+  // locked step that listed it here.
+  for (auto& t : finished_groups_) t.join();
+  finished_groups_.clear();
 }
 
 void JobManager::shutdown() {
   drain();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      // Second call: the dispatcher is already gone; nothing left to stop.
-      if (!dispatcher_.joinable() && group_threads_.empty()) return;
-    }
     stopping_ = true;
     cv_dispatch_.notify_all();
     cv_space_.notify_all();
   }
   if (dispatcher_.joinable()) dispatcher_.join();
-  std::vector<std::thread> groups;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    groups.swap(group_threads_);
-  }
-  for (auto& t : groups) t.join();
+  // The dispatcher empties the queue before it exits, so a job submitted
+  // during the first drain may still be running: wait it out and join it.
+  drain();
 }
 
 ServiceStats JobManager::stats() const {
@@ -133,10 +135,16 @@ void JobManager::dispatcher_main() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     cv_dispatch_.wait(lock, [&] {
-      return (!queue_.empty() && running_ < opts_.max_concurrent) ||
+      return !finished_groups_.empty() ||
+             (!queue_.empty() && running_ < opts_.max_concurrent) ||
              (stopping_ && queue_.empty());
     });
-    if (queue_.empty()) return;  // stopping, and drained
+    reap_finished_groups();
+    if (queue_.empty()) {
+      if (stopping_) return;  // stopping, and drained
+      continue;
+    }
+    if (running_ >= opts_.max_concurrent) continue;
 
     // Pop the head job plus every batchable follower (same nonzero
     // batch_key, up to batch_limit): one group = one band lease, one set of
@@ -177,15 +185,18 @@ void JobManager::dispatcher_main() {
       js->result.batched_with = static_cast<int>(group.size()) - 1;
       arbiter_.add_job(js->id, js->opts.weight);
     }
-    group_threads_.emplace_back(
-        [this, band, jobs = std::move(group)]() mutable {
-          run_group(band, std::move(jobs));
-        });
+    // The thread is assigned into its list entry under mu_, which the
+    // group needs again before it can finish, so `self` is valid by then.
+    const GroupThread self = group_threads_.emplace(group_threads_.end());
+    *self = std::thread([this, band, self, jobs = std::move(group)]() mutable {
+      run_group(band, std::move(jobs), self);
+    });
   }
 }
 
 void JobManager::run_group(net::TagMap band,
-                           std::vector<std::shared_ptr<detail::JobState>> jobs) {
+                           std::vector<std::shared_ptr<detail::JobState>> jobs,
+                           GroupThread self) {
   const int p = opts_.nranks;
   const std::size_t n = jobs.size();
   // The group's private abort flag: a failing job raises it (plus
@@ -211,9 +222,6 @@ void JobManager::run_group(net::TagMap band,
       try {
         JobContext ctx(&comm, jobs[j]->id, &jobs[j]->opts.name, &arbiter_);
         jobs[j]->body(ctx);
-        // Drain queued isends so a fire-and-forget error is charged to the
-        // job that posted it, not the batch neighbor that follows.
-        comm.flush_async();
       } catch (const net::ClusterAborted&) {
         // Secondary failure: this rank was blocked when a peer (or the
         // whole cluster) aborted. The root cause is recorded elsewhere.
@@ -237,7 +245,6 @@ void JobManager::run_group(net::TagMap band,
       run_secs[j] = std::max(run_secs[j], secs);
       completed_ranks[j] += 1;
     }
-    comm.quiesce();
   };
 
   std::vector<std::thread> ranks;
@@ -286,6 +293,7 @@ void JobManager::run_group(net::TagMap band,
   stats_.failed += failed;
   running_ -= 1;
   inflight_ -= static_cast<std::int64_t>(n);
+  finished_groups_.splice(finished_groups_.end(), group_threads_, self);
   cv_dispatch_.notify_all();
   if (inflight_ == 0) cv_drain_.notify_all();
 }

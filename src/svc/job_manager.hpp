@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -207,11 +208,11 @@ class JobManager {
   /// queue is full.
   std::optional<JobHandle> try_submit(JobOptions opts, JobBody body);
 
-  /// Blocks until every accepted job has finished.
+  /// Blocks until every accepted job has finished and its group thread has
+  /// been joined.
   void drain();
 
-  /// drain() + stop the dispatcher and join every group. Idempotent; the
-  /// destructor calls it.
+  /// drain() + stop the dispatcher. Idempotent; the destructor calls it.
   void shutdown();
 
   ServiceStats stats() const;
@@ -221,8 +222,12 @@ class JobManager {
 
  private:
   void dispatcher_main();
+  using GroupThread = std::list<std::thread>::iterator;
   void run_group(net::TagMap band,
-                 std::vector<std::shared_ptr<detail::JobState>> jobs);
+                 std::vector<std::shared_ptr<detail::JobState>> jobs,
+                 GroupThread self);
+  /// Joins every group thread that has finished its run_group (mu_ held).
+  void reap_finished_groups();
 
   ServiceOptions opts_;
   net::ClusterState state_;
@@ -238,7 +243,11 @@ class JobManager {
   std::condition_variable cv_space_;     // submitters waiting on queue room
   std::condition_variable cv_drain_;     // drain() waiting for inflight == 0
   std::deque<std::shared_ptr<detail::JobState>> queue_;
-  std::vector<std::thread> group_threads_;
+  /// Threads of running groups. A group moves its own entry to
+  /// finished_groups_ as its last locked step; the dispatcher and drain()
+  /// join those, so a finished group's stack never outlives the next reap.
+  std::list<std::thread> group_threads_;
+  std::list<std::thread> finished_groups_;
   ServiceStats stats_;
   std::uint64_t next_job_id_ = 1;
   int running_ = 0;        // live job groups

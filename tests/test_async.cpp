@@ -1,26 +1,27 @@
-// Tests for asynchronous messaging: isend/irecv handles, wait_any/wait_all,
-// progress-engine ordering and error deferral, abort cancellation, the
-// zero-copy send accounting, and the reserved tag-band audit.
+// Tests for the point-to-point contract: every send completes in the call
+// (typed delivery, caller-buffer reuse, per-(src, tag) FIFO across send
+// flavors, send errors thrown at the call), split-phase receives
+// (irecv/wait_any/wait_all), abort cancellation, the zero-copy send
+// accounting, and the reserved tag-band audit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <numeric>
 #include <vector>
 
 #include "net/cluster.hpp"
+#include "net/pool.hpp"
 #include "net/tags.hpp"
 
 namespace triolet::net {
 namespace {
 
-TEST(Async, IsendDeliversTypedValues) {
+TEST(Async, SendDeliversTypedValues) {
   auto res = Cluster::run(2, [](Comm& c) {
     if (c.rank() == 0) {
-      PendingSend s = c.isend(1, 5, std::vector<int>{1, 2, 3});
-      s.wait();
+      c.send(1, 5, std::vector<int>{1, 2, 3});
     } else {
       auto v = c.recv<std::vector<int>>(0, 5);
       EXPECT_EQ(v, (std::vector<int>{1, 2, 3}));
@@ -29,29 +30,42 @@ TEST(Async, IsendDeliversTypedValues) {
   EXPECT_TRUE(res.ok);
 }
 
-TEST(Async, SenderBufferReusableImmediatelyAfterIsend) {
-  // isend takes the value by value: mutating the caller's vector after the
-  // call must not affect what the receiver sees.
+TEST(Async, SenderBufferReusableImmediatelyAfterSend) {
+  // The transport gathers borrowed segments before the send returns, so
+  // overwriting the caller's buffer right after the call must not affect
+  // what the receiver sees — for a typed send and a raw segment send alike.
   auto res = Cluster::run(2, [](Comm& c) {
     if (c.rank() == 0) {
       std::vector<double> buf(2000, 1.0);
-      PendingSend s = c.isend(1, 7, buf);
-      std::fill(buf.begin(), buf.end(), -9.0);  // engine owns its own copy
-      s.wait();
+      c.send(1, 7, buf);
+      std::fill(buf.begin(), buf.end(), -9.0);
+      std::vector<double> band(2000, 2.0);
+      auto w = serial::ByteWriter::segmented();
+      w.write_borrowable(band.data(), band.size() * sizeof(double));
+      c.send_segments(1, 8, w.take_segments());
+      std::fill(band.begin(), band.end(), -9.0);
     } else {
       auto v = c.recv<std::vector<double>>(0, 7);
       EXPECT_EQ(v.size(), 2000u);
       EXPECT_TRUE(std::all_of(v.begin(), v.end(),
                               [](double x) { return x == 1.0; }));
+      Message m = c.recv_message(0, 8);
+      ASSERT_EQ(m.payload.size(), 2000 * sizeof(double));
+      std::vector<double> band(2000);
+      std::memcpy(band.data(), m.payload.data(), m.payload.size());
+      EXPECT_TRUE(std::all_of(band.begin(), band.end(),
+                              [](double x) { return x == 2.0; }));
     }
   });
   EXPECT_TRUE(res.ok);
 }
 
 TEST(Async, FifoOrderPreservedBetweenIsends) {
+  // Back-to-back sends to one (dst, tag) arrive in call order. Sends now
+  // complete in the call, so this is the former isend burst without handles.
   auto res = Cluster::run(2, [](Comm& c) {
     if (c.rank() == 0) {
-      for (int i = 0; i < 50; ++i) (void)c.isend(1, 3, i);
+      for (int i = 0; i < 50; ++i) c.send(1, 3, i);
     } else {
       for (int i = 0; i < 50; ++i) EXPECT_EQ(c.recv<int>(0, 3), i);
     }
@@ -60,15 +74,50 @@ TEST(Async, FifoOrderPreservedBetweenIsends) {
 }
 
 TEST(Async, BlockingSendNeverOvertakesQueuedIsends) {
-  // A blocking send flushes the progress engine first, so the sync message
-  // arrives strictly after every isend posted before it.
+  // A small (eager) typed send posted after a burst of large (rendezvous)
+  // segment sends arrives strictly after every one of them.
   auto res = Cluster::run(2, [](Comm& c) {
     if (c.rank() == 0) {
-      for (int i = 0; i < 20; ++i) (void)c.isend(1, 3, i);
-      c.send(1, 3, 99);
+      for (int i = 0; i < 20; ++i) {
+        c.send_segments(1, 3,
+                        serial::to_segments(std::vector<int>(4000, i)));
+      }
+      c.send(1, 3, std::vector<int>{99});
     } else {
-      for (int i = 0; i < 20; ++i) EXPECT_EQ(c.recv<int>(0, 3), i);
-      EXPECT_EQ(c.recv<int>(0, 3), 99);
+      for (int i = 0; i < 20; ++i) {
+        auto v = c.recv<std::vector<int>>(0, 3);
+        ASSERT_EQ(v.size(), 4000u);
+        EXPECT_EQ(v.front(), i);
+      }
+      EXPECT_EQ(c.recv<std::vector<int>>(0, 3), std::vector<int>{99});
+    }
+  });
+  EXPECT_TRUE(res.ok);
+}
+
+TEST(Async, FifoOrderPreservedAcrossSendFlavors) {
+  // Typed sends, raw-byte sends and pre-built segment sends to one
+  // (dst, tag) arrive in call order, small (eager) and large (rendezvous)
+  // payloads interleaved.
+  auto res = Cluster::run(2, [](Comm& c) {
+    if (c.rank() == 0) {
+      for (int i = 0; i < 60; ++i) {
+        const std::vector<int> v(i % 3 == 0 ? 4000 : 1, i);
+        switch (i % 3) {
+          case 0: c.send(1, 3, v); break;
+          case 1: c.send_bytes(1, 3, serial::to_bytes(v)); break;
+          default: c.send_segments(1, 3, serial::to_segments(v)); break;
+        }
+      }
+      c.send(1, 3, std::vector<int>{99});
+    } else {
+      for (int i = 0; i < 60; ++i) {
+        auto v = c.recv<std::vector<int>>(0, 3);
+        ASSERT_FALSE(v.empty());
+        EXPECT_EQ(v.front(), i);
+        EXPECT_EQ(v.size(), i % 3 == 0 ? 4000u : 1u);
+      }
+      EXPECT_EQ(c.recv<std::vector<int>>(0, 3), std::vector<int>{99});
     }
   });
   EXPECT_TRUE(res.ok);
@@ -127,7 +176,7 @@ TEST(Async, WaitAllCompletesEveryHandle) {
       }
       EXPECT_EQ(sum, 1 + 2 + 3);
     } else {
-      (void)c.isend(0, 9, c.rank()).wait();
+      c.send(0, 9, c.rank());
     }
   });
   EXPECT_TRUE(res.ok);
@@ -163,19 +212,18 @@ TEST(Async, SmallMessagesStayOnTheCopiedPath) {
   EXPECT_EQ(res.total_stats.bytes_copied, res.total_stats.bytes_sent);
 }
 
-TEST(Async, DetachedIsendErrorSurfacesAtFlush) {
-  // Fire-and-forget isend into a bounded mailbox: the handle is dropped,
-  // but Cluster::run flushes the engine at body end and the rank fails.
+TEST(Async, UncaughtSendOverflowFailsTheRank) {
+  // A send into a bounded buffer throws at the call; left uncaught it
+  // fails the rank and Cluster::run reports it.
   ClusterOptions opts;
   opts.max_message_bytes = 64;
   auto res = Cluster::run(
       2,
       [](Comm& c) {
         if (c.rank() == 0) {
-          (void)c.isend(1, 1, std::vector<double>(1000, 1.0));
+          c.send(1, 1, std::vector<double>(1000, 1.0));
         } else {
-          // Do not block on the oversized message; the abort releases us if
-          // we are still waiting when rank 0's flush fails.
+          // Do not block on the oversized message; it never arrives.
           (void)c.try_recv<std::vector<double>>(0, 1);
         }
       },
@@ -184,7 +232,7 @@ TEST(Async, DetachedIsendErrorSurfacesAtFlush) {
   EXPECT_NE(res.error.find("buffer"), std::string::npos);
 }
 
-TEST(Async, PendingSendWaitRethrowsDeliveryError) {
+TEST(Async, SendOverflowIsCatchableAtTheCall) {
   ClusterOptions opts;
   opts.max_message_bytes = 64;
   std::atomic<bool> threw{false};
@@ -192,12 +240,15 @@ TEST(Async, PendingSendWaitRethrowsDeliveryError) {
       2,
       [&](Comm& c) {
         if (c.rank() == 0) {
-          PendingSend s = c.isend(1, 1, std::vector<double>(1000, 1.0));
           try {
-            s.wait();
+            c.send(1, 1, std::vector<double>(1000, 1.0));
           } catch (const BufferOverflow&) {
             threw.store(true);
           }
+          // The Comm stays usable after the refused send.
+          c.send(1, 2, 7);
+        } else {
+          EXPECT_EQ(c.recv<int>(0, 2), 7);
         }
       },
       opts);
@@ -206,15 +257,20 @@ TEST(Async, PendingSendWaitRethrowsDeliveryError) {
 }
 
 TEST(Async, AbortCancelsQueuedOperations) {
-  // Rank 1 dies; rank 0's queued isends to it are cancelled rather than
-  // delivered, and the cluster reports the root cause.
+  // Rank 1 dies; rank 0's posted receives are cancelled with
+  // ClusterAborted, its later sends to the dead rank strand in the
+  // transport, and the cluster reports the root cause. Teardown returns
+  // every stranded buffer to the pool.
+  const std::int64_t pool_before = BufferPool::instance().outstanding();
   auto res = Cluster::run(2, [](Comm& c) {
     if (c.rank() == 0) {
-      // Block until the abort: the peer never sends.
+      std::vector<PendingRecv> recvs;
+      recvs.push_back(c.irecv(1, 1));
+      recvs.push_back(c.irecv(1, 2));
       try {
-        (void)c.recv<int>(1, 1);
+        (void)wait_any(recvs);  // the peer never sends
       } catch (const ClusterAborted&) {
-        for (int i = 0; i < 4; ++i) (void)c.isend(1, 2, i);
+        for (int i = 0; i < 4; ++i) c.send(1, 2, std::vector<int>(i * 600, i));
         throw;
       }
     } else {
@@ -223,6 +279,7 @@ TEST(Async, AbortCancelsQueuedOperations) {
   });
   EXPECT_FALSE(res.ok);
   EXPECT_EQ(res.error, "rank 1 exploded");
+  EXPECT_EQ(BufferPool::instance().outstanding(), pool_before);
 }
 
 TEST(Async, IrecvUnblocksOnPeerFailure) {
@@ -264,9 +321,9 @@ TEST(TagBands, EmptyBandIsRejected) {
   EXPECT_NE(why.find("empty"), std::string::npos);
 }
 
-TEST(TagBands, SchedAndAsyncBandsSitAboveUserSpace) {
+TEST(TagBands, ReservedBandsSitAboveUserSpace) {
   EXPECT_GE(kTagSchedBand, kUserTagLimit);
-  EXPECT_GE(kTagAsyncBand, kUserTagLimit);
+  EXPECT_GE(kTagResidencyBand, kUserTagLimit);
   EXPECT_GE(kTagGroupBand, kUserTagLimit);
   EXPECT_GE(kFirstReservedTag, kUserTagLimit);
 }

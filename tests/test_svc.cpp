@@ -6,10 +6,14 @@
 // job run inside a busy service equals the same job run alone.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -81,7 +85,6 @@ TEST(TagMap, LeasedBandCompressesEveryTrafficClass) {
   EXPECT_EQ(m.map(100), base + 100);
   // Each reserved class lands at its own compressed offset.
   EXPECT_EQ(m.map(net::kTagSchedBand), base + net::kJobSchedOffset);
-  EXPECT_EQ(m.map(net::kTagAsyncBand), base + net::kJobAsyncOffset);
   EXPECT_EQ(m.map(net::kTagResidencyBand), base + net::kJobResidencyOffset);
   EXPECT_EQ(m.map(net::kTagGroupBand), base + net::kJobGroupOffset);
   EXPECT_EQ(m.map(net::kFirstReservedTag), base + net::kJobCollectiveOffset);
@@ -381,6 +384,59 @@ TEST(JobManagerTest, ConcurrentGroupsHoldDistinctBandsAndReclaimThem) {
   EXPECT_EQ(mgr.bands_in_use(), 0);
   EXPECT_EQ(mgr.stats().peak_concurrent, 2);
   EXPECT_EQ(mgr.stats().bands_leased, 2);
+}
+
+/// A field of /proc/self/status ("Threads", "VmSize", ...) as a number.
+long proc_status_field(const std::string& name) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(name + ":", 0) == 0) {
+      return std::stol(line.substr(name.size() + 1));
+    }
+  }
+  return -1;
+}
+
+TEST(JobManagerTest, FinishedGroupThreadsAreReapedBeforeShutdown) {
+  ServiceOptions so;
+  so.nranks = 2;
+  JobManager mgr(so);
+  // Measured after construction: the dispatcher and the per-rank pool
+  // workers are the manager's only long-lived threads.
+  const long threads_before = proc_status_field("Threads");
+  ASSERT_GT(threads_before, 0);
+  auto body = [](JobContext& ctx) { ctx.comm().barrier(); };
+  // Warm up so the allocator's thread-stack cache is primed.
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(mgr.submit({"warm"}, body).wait().ok);
+  mgr.drain();
+  const long vm_before = proc_status_field("VmSize");
+  constexpr int kGroups = 96;
+  for (int i = 0; i < kGroups; ++i) {
+    EXPECT_TRUE(mgr.submit({"seq"}, body).wait().ok);
+  }
+  mgr.drain();
+  // The kernel drops a thread from the count a moment after pthread_join
+  // returns, so allow the count a short while to settle.
+  long threads_after = proc_status_field("Threads");
+  for (int i = 0; i < 2000 && threads_after != threads_before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    threads_after = proc_status_field("Threads");
+  }
+  EXPECT_EQ(threads_after, threads_before);
+  // An unjoined finished thread keeps its whole stack mapped, so leaking
+  // one per group would grow VmSize by kGroups stacks; reaped stacks are
+  // reused. Half that leaves room for the allocator to map a new arena.
+  pthread_attr_t attr;
+  std::size_t stack_bytes = 0;
+  ASSERT_EQ(pthread_getattr_default_np(&attr), 0);
+  ASSERT_EQ(pthread_attr_getstacksize(&attr, &stack_bytes), 0);
+  pthread_attr_destroy(&attr);
+  ASSERT_GT(stack_bytes, 0u);
+  const long leak_kb = kGroups * static_cast<long>(stack_bytes / 1024);
+  EXPECT_LT(proc_status_field("VmSize") - vm_before, leak_kb / 2)
+      << "finished group threads kept their stacks mapped";
+  EXPECT_EQ(mgr.stats().completed, kGroups + 4);
 }
 
 // -- JobManager: batching -----------------------------------------------------
