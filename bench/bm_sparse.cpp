@@ -101,8 +101,8 @@ struct RunResult {
 };
 
 /// Median of the last half of the rounds (at least one): the steady-state
-/// figure once cold shipping and — for kAuto — measurement and audit
-/// rounds are behind. A median over a wide window, not a mean over a
+/// figure once cold shipping and — for kAuto — the audit rounds are
+/// behind. A median over a wide window, not a mean over a
 /// narrow one: on an oversubscribed node any single round can lose a
 /// scheduling quantum, and outliers must not define the steady state.
 double tail_median(const std::vector<double>& rounds_s) {
@@ -191,9 +191,9 @@ const char* policy_name(sched::SchedulePolicy p) {
 
 int main(int argc, char** argv) {
   int ranks = bench::kNodes;
-  // Enough rounds that kAuto's calibration + audit prologue (up to four
-  // rounds; see sched/tuner.hpp) amortizes into the steady state, as it
-  // would in a real iterative solve.
+  // Enough rounds that kAuto's three audit rounds (see sched/tuner.hpp)
+  // amortize into the steady state, as they would in a real iterative
+  // solve.
   int rounds = 24;
   bool check_only = false;
   for (int i = 1; i < argc; ++i) {
@@ -301,7 +301,7 @@ int main(int argc, char** argv) {
           t_static / results[2].seconds >= 1.4);
     check("kAuto >= 1.4x over static on power-law matvec",
           t_static / results[3].seconds >= 1.4);
-    // Convergence: once measurement and audit are done, kAuto's committed
+    // Convergence: once the audit is done, kAuto's committed
     // rounds must run at demand-round rates — not at static's or guided's.
     check("kAuto steady-state rounds within 2.5x of dynamic's",
           auto_tail <= 2.5 * dynamic_tail);

@@ -32,7 +32,7 @@ struct AppSummary {
 
 /// Steady-state wall seconds of an iterative triangular loop under one
 /// schedule configuration on the real 8-rank in-process cluster (mean of
-/// rounds 1..n-1; round 0 is cold — for kAuto it is the measurement round).
+/// rounds 1..n-1; round 0 is cold, and kAuto's rounds 0-2 audit policies).
 double steady_loop_seconds(const sched::SchedOptions& base, int rounds,
                            const Array1<double>& costs, bool* converged) {
   double sum = 0.0;
@@ -64,7 +64,7 @@ double steady_loop_seconds(const sched::SchedOptions& base, int rounds,
     }
     if (comm.rank() == 0 && converged != nullptr) {
       *converged = base.policy != sched::SchedulePolicy::kAuto ||
-                   (tuner.have_pick() && tuner.calibration().valid());
+                   tuner.pick_mode() == sched::AutoTuner::PickMode::kCommitted;
     }
   });
   if (!res.ok) {
@@ -145,9 +145,9 @@ int main() {
 
   // -- autotuned scheduling: zero flags vs the best hand-tuned schedule -------
   // A real (not simulated) 8-rank run of the skewed tpacf-shaped loop:
-  // SchedulePolicy::kAuto measures round 0, calibrates the sim:: model, and
-  // re-picks its own policy/grain/prefetch/streaming each round
-  // (bm_autotune has the full sweep and the per-round picks).
+  // SchedulePolicy::kAuto audits static, guided and dynamic in rounds 0-2
+  // and commits to the fastest (bm_autotune has the full sweep and the
+  // per-round picks).
   {
     Array1<double> costs(1024);
     for (core::index_t i = 0; i < costs.size(); ++i) {
@@ -172,7 +172,7 @@ int main() {
     std::printf("\nAutotuned scheduling (8 ranks, skewed loop): "
                 "auto %.4fs vs best manual %.4fs -> %.2fx\n",
                 auto_steady, best_manual, ratio);
-    shape_check("kAuto converges to a calibrated pick on the skewed loop",
+    shape_check("kAuto commits to a measured pick on the skewed loop",
                 converged);
     shape_check("steady-state kAuto within 2x of the best manual schedule",
                 ratio <= 2.0);

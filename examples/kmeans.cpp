@@ -157,10 +157,10 @@ int main() {
                                                                  p);
                                 }));
     };
-    // The three reductions of each round run under the model-driven
+    // The three reductions of each round run under the measuring
     // scheduler: the array's tune_key ties them to one shared AutoTuner on
-    // the Comm, so the first call measures, and every later call runs the
-    // calibrated model's pick — no per-workload policy/grain flags.
+    // the Comm, so the first three calls audit static, guided and dynamic,
+    // and every later call runs the fastest — no per-workload policy flags.
     const auto opts = dist::auto_options(dpoints.tune_key());
     std::printf("%s", comm.rank() == 0 ? "\ndistributed rounds (resident):\n"
                                        : "");

@@ -162,6 +162,19 @@ class Array3 {
     TRIOLET_CHECK(nz >= 0 && ny >= 0 && nx >= 0, "bad Array3 dims");
   }
 
+  /// Adopts `data` as the z-major storage of an nz x ny x nx array. The
+  /// size check divides instead of multiplying, so dims decoded from
+  /// untrusted bytes cannot overflow their way past it.
+  Array3(index_t nz, index_t ny, index_t nx, std::vector<T> data)
+      : nz_(nz), ny_(ny), nx_(nx), data_(std::move(data)) {
+    const auto n = static_cast<index_t>(data_.size());
+    TRIOLET_CHECK(nz >= 0 && ny >= 0 && nx >= 0, "bad Array3 dims");
+    TRIOLET_CHECK(nz == 0 || ny == 0 || nx == 0
+                      ? n == 0
+                      : n % nz == 0 && n / nz % ny == 0 && n / nz / ny == nx,
+                  "Array3 payload size mismatch");
+  }
+
   index_t dim_z() const { return nz_; }
   index_t dim_y() const { return ny_; }
   index_t dim_x() const { return nx_; }
@@ -253,13 +266,9 @@ struct Codec<triolet::Array3<T>> {
     auto nz = r.read_pod<index_t>();
     auto ny = r.read_pod<index_t>();
     auto nx = r.read_pod<index_t>();
-    triolet::Array3<T> out(nz, ny, nx);
     std::vector<T> data;
     serial::read(r, data);
-    TRIOLET_CHECK(static_cast<index_t>(data.size()) == out.size(),
-                  "Array3 payload size mismatch");
-    out.storage() = std::move(data);
-    a = std::move(out);
+    a = triolet::Array3<T>(nz, ny, nx, std::move(data));
   }
 };
 

@@ -532,15 +532,18 @@ struct Codec<triolet::core::SegSeq> {
 
   static void read(ByteReader& r, D& d) {
     const auto units = r.read_pod<std::int64_t>();
+    TRIOLET_CHECK(units >= 0, "deserialization: negative SegSeq unit count");
     auto cuts = std::make_shared<std::vector<std::int64_t>>();
-    cuts->reserve(static_cast<std::size_t>(units + 1));
+    cuts->reserve(r.checked_count(static_cast<std::uint64_t>(units) + 1,
+                                  sizeof(std::int64_t)));
     for (std::int64_t u = 0; u <= units; ++u) {
       cuts->push_back(r.read_pod<std::int64_t>());
     }
     std::shared_ptr<std::vector<std::int64_t>> weights;
     if (r.read_pod<std::uint8_t>() != 0) {
       weights = std::make_shared<std::vector<std::int64_t>>();
-      weights->reserve(static_cast<std::size_t>(units));
+      weights->reserve(r.checked_count(static_cast<std::uint64_t>(units),
+                                       sizeof(std::int64_t)));
       for (std::int64_t u = 0; u < units; ++u) {
         weights->push_back(r.read_pod<std::int64_t>());
       }

@@ -163,7 +163,7 @@ class DistArray {
   /// Stable autotuning key for scheduled skeletons over this array: the
   /// several reductions of one iterative job that share the array should
   /// share one sched::AutoTuner, so their rounds accumulate into the same
-  /// calibration (SchedOptions::tune_key; see dist::auto_options).
+  /// audit (SchedOptions::tune_key; see dist::auto_options).
   std::uint64_t tune_key() const { return id_; }
 
   /// Writable access; bumps the version so cached slices are invalidated.
@@ -273,7 +273,7 @@ class DistContext {
   /// Stable autotuning key for scheduled skeletons parameterized by this
   /// context (SchedOptions::tune_key; see DistArray::tune_key). Stays fixed
   /// across update() calls — version bumps retire cached *data*, not the
-  /// tuner's accumulated calibration.
+  /// tuner's audit.
   std::uint64_t tune_key() const { return id_; }
 
   /// Replaces the context value; the version bump retires cached copies.
@@ -422,14 +422,16 @@ struct Codec<triolet::dist::ResidentCtx<C>> {
     const serial::SliceKey key{id, version, 0,
                                static_cast<std::int64_t>(len)};
     auto* dec = current_residency_decoder();
-    std::vector<std::byte> bytes(len);
+    std::vector<std::byte> bytes;
     if (kind == 0) {
+      bytes.resize(r.checked_count(len, 1));
       r.read_raw(bytes.data(), len);
       if (dec != nullptr && len != 0) dec->store(key, bytes);
     } else {
       const auto token = r.read_pod<std::uint64_t>();
       TRIOLET_CHECK(dec != nullptr,
                     "resident token received without a decode scope");
+      bytes.resize(len);
       dec->resolve(key, token, bytes);
     }
     s = S{std::make_shared<const C>(from_bytes<C>(bytes)), id, version};

@@ -159,7 +159,7 @@ class SegmentedDistArray {
   }
 
   /// Stable autotuning key (see DistArray::tune_key): rounds over this
-  /// array share one calibration.
+  /// array share one audit.
   std::uint64_t tune_key() const { return values_.tune_key(); }
 
   /// Writable value access; bumps the values version so cached value

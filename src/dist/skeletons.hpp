@@ -348,15 +348,13 @@ auto build_array2(net::Comm& comm, MakeIter&& make) {
 // Streaming changes where a chunk runs, never what is folded: kOrdered
 // results stay bitwise identical with it on or off.
 
-/// Options for the model-driven scheduler (SchedulePolicy::kAuto,
-/// src/sched/tuner.hpp): the first round of the keyed job runs an
-/// instrumented measurement configuration, and every later round runs
-/// whatever concrete policy/grain/prefetch/streaming combination the
-/// calibrated sim:: model predicts fastest — zero per-workload flags.
-/// Skeletons that pass the same `tune_key` on the same Comm share one
-/// tuner, so the several reductions of one iterative job accumulate into
-/// one calibration; DistArray::tune_key() / DistContext::tune_key() are
-/// the natural keys for resident-data loops.
+/// Options for the measuring scheduler (SchedulePolicy::kAuto,
+/// src/sched/tuner.hpp): the first three rounds of the keyed job audit
+/// kStatic, kGuided and kDynamic, and every later round runs whichever
+/// measured fastest — zero per-workload flags. Skeletons that pass the same
+/// `tune_key` on the same Comm share one tuner, so the several reductions
+/// of one iterative job share one audit; DistArray::tune_key() /
+/// DistContext::tune_key() are the natural keys for resident-data loops.
 inline sched::SchedOptions auto_options(std::uint64_t tune_key = 0) {
   sched::SchedOptions opts;
   opts.policy = sched::SchedulePolicy::kAuto;

@@ -68,29 +68,9 @@ struct CollectiveStats {
   std::int64_t bytes_sent = 0;
   std::int64_t messages_received = 0;
   std::int64_t bytes_received = 0;
-
-  CollectiveStats& operator+=(const CollectiveStats& o) {
-    calls += o.calls;
-    messages_sent += o.messages_sent;
-    bytes_sent += o.bytes_sent;
-    messages_received += o.messages_received;
-    bytes_received += o.bytes_received;
-    return *this;
-  }
-  CollectiveStats& operator-=(const CollectiveStats& o) {
-    calls -= o.calls;
-    messages_sent -= o.messages_sent;
-    bytes_sent -= o.bytes_sent;
-    messages_received -= o.messages_received;
-    bytes_received -= o.bytes_received;
-    return *this;
-  }
 };
-
-inline CollectiveStats operator-(CollectiveStats a, const CollectiveStats& b) {
-  a -= b;
-  return a;
-}
+TRIOLET_STATS_FIELDS(CollectiveStats, calls, messages_sent, bytes_sent,
+                     messages_received, bytes_received)
 
 /// Traffic and load attributed to the demand-driven chunk scheduler on one
 /// rank (src/sched/ fills these in; see docs/INTERNALS.md "Distributed
@@ -118,51 +98,15 @@ struct SchedStats {
   /// Receiver-side grant payload accounting (the data a grant carried, as
   /// opposed to control_bytes): total serialized payload bytes of received
   /// work grants and the outer-domain units those grants covered. Their
-  /// ratio is the measured bytes-per-item coefficient the autotuner feeds
-  /// into sim::calibrate_from.
+  /// ratio is the measured grant bytes per item.
   std::int64_t grant_payload_bytes = 0;
   std::int64_t granted_items = 0;
-
-  SchedStats& operator+=(const SchedStats& o) {
-    requests_sent += o.requests_sent;
-    grants_served += o.grants_served;
-    grants_received += o.grants_received;
-    chunks_executed += o.chunks_executed;
-    items_executed += o.items_executed;
-    control_messages += o.control_messages;
-    control_bytes += o.control_bytes;
-    busy_seconds += o.busy_seconds;
-    idle_seconds += o.idle_seconds;
-    steal_waits += o.steal_waits;
-    streamed_grants += o.streamed_grants;
-    overlap_seconds += o.overlap_seconds;
-    grant_payload_bytes += o.grant_payload_bytes;
-    granted_items += o.granted_items;
-    return *this;
-  }
-  SchedStats& operator-=(const SchedStats& o) {
-    requests_sent -= o.requests_sent;
-    grants_served -= o.grants_served;
-    grants_received -= o.grants_received;
-    chunks_executed -= o.chunks_executed;
-    items_executed -= o.items_executed;
-    control_messages -= o.control_messages;
-    control_bytes -= o.control_bytes;
-    busy_seconds -= o.busy_seconds;
-    idle_seconds -= o.idle_seconds;
-    steal_waits -= o.steal_waits;
-    streamed_grants -= o.streamed_grants;
-    overlap_seconds -= o.overlap_seconds;
-    grant_payload_bytes -= o.grant_payload_bytes;
-    granted_items -= o.granted_items;
-    return *this;
-  }
 };
-
-inline SchedStats operator-(SchedStats a, const SchedStats& b) {
-  a -= b;
-  return a;
-}
+TRIOLET_STATS_FIELDS(SchedStats, requests_sent, grants_served,
+                     grants_received, chunks_executed, items_executed,
+                     control_messages, control_bytes, busy_seconds,
+                     idle_seconds, steal_waits, streamed_grants,
+                     overlap_seconds, grant_payload_bytes, granted_items)
 
 /// Intra-node thread-pool counters mirrored from runtime::PoolStats (net
 /// cannot depend on runtime, so the fields are duplicated). Scheduled
@@ -176,31 +120,9 @@ struct NodePoolStats {
   std::int64_t steal_attempts = 0;
   std::int64_t parks = 0;
   std::int64_t wakes = 0;
-
-  NodePoolStats& operator+=(const NodePoolStats& o) {
-    tasks_executed += o.tasks_executed;
-    tasks_stolen += o.tasks_stolen;
-    splits += o.splits;
-    steal_attempts += o.steal_attempts;
-    parks += o.parks;
-    wakes += o.wakes;
-    return *this;
-  }
-  NodePoolStats& operator-=(const NodePoolStats& o) {
-    tasks_executed -= o.tasks_executed;
-    tasks_stolen -= o.tasks_stolen;
-    splits -= o.splits;
-    steal_attempts -= o.steal_attempts;
-    parks -= o.parks;
-    wakes -= o.wakes;
-    return *this;
-  }
 };
-
-inline NodePoolStats operator-(NodePoolStats a, const NodePoolStats& b) {
-  a -= b;
-  return a;
-}
+TRIOLET_STATS_FIELDS(NodePoolStats, tasks_executed, tasks_stolen, splits,
+                     steal_attempts, parks, wakes)
 
 /// Fused-view and halo-exchange attribution (src/dist/ views + stencils).
 /// view_* counts leaf-slice payloads a *composite* resident source (zip /
@@ -217,33 +139,10 @@ struct ViewStats {
   std::int64_t halo_bytes = 0;          // boundary payload bytes sent
   std::int64_t ghost_cells = 0;         // ghost cells received
   double halo_overlap_seconds = 0.0;    // interior compute under exchange
-
-  ViewStats& operator+=(const ViewStats& o) {
-    view_tokens += o.view_tokens;
-    view_bytes_avoided += o.view_bytes_avoided;
-    halo_exchanges += o.halo_exchanges;
-    halo_messages += o.halo_messages;
-    halo_bytes += o.halo_bytes;
-    ghost_cells += o.ghost_cells;
-    halo_overlap_seconds += o.halo_overlap_seconds;
-    return *this;
-  }
-  ViewStats& operator-=(const ViewStats& o) {
-    view_tokens -= o.view_tokens;
-    view_bytes_avoided -= o.view_bytes_avoided;
-    halo_exchanges -= o.halo_exchanges;
-    halo_messages -= o.halo_messages;
-    halo_bytes -= o.halo_bytes;
-    ghost_cells -= o.ghost_cells;
-    halo_overlap_seconds -= o.halo_overlap_seconds;
-    return *this;
-  }
 };
-
-inline ViewStats operator-(ViewStats a, const ViewStats& b) {
-  a -= b;
-  return a;
-}
+TRIOLET_STATS_FIELDS(ViewStats, view_tokens, view_bytes_avoided,
+                     halo_exchanges, halo_messages, halo_bytes, ghost_cells,
+                     halo_overlap_seconds)
 
 struct CommStats {
   std::int64_t messages_sent = 0;
@@ -282,77 +181,11 @@ struct CommStats {
   const CollectiveStats& collective(Collective c) const {
     return collectives[static_cast<std::size_t>(c)];
   }
-
-  CommStats& operator+=(const CommStats& o) {
-    messages_sent += o.messages_sent;
-    bytes_sent += o.bytes_sent;
-    messages_received += o.messages_received;
-    bytes_received += o.bytes_received;
-    bytes_zero_copy += o.bytes_zero_copy;
-    bytes_copied += o.bytes_copied;
-    for (std::size_t i = 0; i < kNumCollectives; ++i) {
-      collectives[i] += o.collectives[i];
-    }
-    sched += o.sched;
-    pool += o.pool;
-    residency += o.residency;
-    views += o.views;
-    msg += o.msg;
-    return *this;
-  }
-  /// Delta subtraction: `after - before` of two Comm::snapshot_stats()
-  /// snapshots is the traffic of everything in between — the per-round
-  /// attribution primitive the autotuner (and the benches) consume instead
-  /// of hand-tracking individual counters.
-  CommStats& operator-=(const CommStats& o) {
-    messages_sent -= o.messages_sent;
-    bytes_sent -= o.bytes_sent;
-    messages_received -= o.messages_received;
-    bytes_received -= o.bytes_received;
-    bytes_zero_copy -= o.bytes_zero_copy;
-    bytes_copied -= o.bytes_copied;
-    for (std::size_t i = 0; i < kNumCollectives; ++i) {
-      collectives[i] -= o.collectives[i];
-    }
-    sched -= o.sched;
-    pool -= o.pool;
-    residency -= o.residency;
-    views -= o.views;
-    msg -= o.msg;
-    return *this;
-  }
 };
-
-inline CommStats operator-(CommStats a, const CommStats& b) {
-  a -= b;
-  return a;
-}
-
-// Stat structs travel in autotuner round samples (Comm::allgather of
-// per-rank deltas) and in bench gathers; declare their field lists so the
-// generic aggregate codec applies.
-TRIOLET_SERIALIZE_FIELDS(CollectiveStats, calls, messages_sent, bytes_sent,
-                         messages_received, bytes_received)
-TRIOLET_SERIALIZE_FIELDS(SchedStats, requests_sent, grants_served,
-                         grants_received, chunks_executed, items_executed,
-                         control_messages, control_bytes, busy_seconds,
-                         idle_seconds, steal_waits, streamed_grants,
-                         overlap_seconds, grant_payload_bytes, granted_items)
-TRIOLET_SERIALIZE_FIELDS(NodePoolStats, tasks_executed, tasks_stolen, splits,
-                         steal_attempts, parks, wakes)
-TRIOLET_SERIALIZE_FIELDS(ResidencyStats, tokens_sent, bytes_avoided,
-                         slices_inlined, bytes_inlined, cache_hits,
-                         cache_misses, checksum_failures, fetches, evictions,
-                         bytes_inserted)
-TRIOLET_SERIALIZE_FIELDS(ViewStats, view_tokens, view_bytes_avoided,
-                         halo_exchanges, halo_messages, halo_bytes,
-                         ghost_cells, halo_overlap_seconds)
-TRIOLET_SERIALIZE_FIELDS(MsgStats, eager_msgs, rendezvous_msgs, pool_hits,
-                         pool_misses, ring_full_stalls)
-TRIOLET_SERIALIZE_FIELDS(CommStats, messages_sent, bytes_sent,
-                         messages_received, bytes_received, bytes_zero_copy,
-                         bytes_copied, collectives, sched, pool, residency,
-                         views, msg)
+TRIOLET_STATS_FIELDS(CommStats, messages_sent, bytes_sent,
+                     messages_received, bytes_received, bytes_zero_copy,
+                     bytes_copied, collectives, sched, pool, residency, views,
+                     msg)
 
 /// Shared state of one in-process cluster (owned by Cluster, referenced by
 /// every Comm).

@@ -44,6 +44,7 @@
 
 #include "net/message.hpp"
 #include "serial/bytes.hpp"
+#include "serial/serialize.hpp"
 
 namespace triolet::net {
 
@@ -77,29 +78,9 @@ struct MsgStats {
   std::int64_t pool_hits = 0;         // slab allocations served by freelists
   std::int64_t pool_misses = 0;       // slab allocations that hit the heap
   std::int64_t ring_full_stalls = 0;  // sends diverted to the overflow lane
-
-  MsgStats& operator+=(const MsgStats& o) {
-    eager_msgs += o.eager_msgs;
-    rendezvous_msgs += o.rendezvous_msgs;
-    pool_hits += o.pool_hits;
-    pool_misses += o.pool_misses;
-    ring_full_stalls += o.ring_full_stalls;
-    return *this;
-  }
-  MsgStats& operator-=(const MsgStats& o) {
-    eager_msgs -= o.eager_msgs;
-    rendezvous_msgs -= o.rendezvous_msgs;
-    pool_hits -= o.pool_hits;
-    pool_misses -= o.pool_misses;
-    ring_full_stalls -= o.ring_full_stalls;
-    return *this;
-  }
 };
-
-inline MsgStats operator-(MsgStats a, const MsgStats& b) {
-  a -= b;
-  return a;
-}
+TRIOLET_STATS_FIELDS(MsgStats, eager_msgs, rendezvous_msgs, pool_hits,
+                     pool_misses, ring_full_stalls)
 
 class Transport {
  public:

@@ -16,7 +16,12 @@ thread_local ThreadPool* tl_current_pool = nullptr;
 }  // namespace
 
 ThreadPool& current_pool() {
-  return tl_current_pool != nullptr ? *tl_current_pool : ThreadPool::global();
+  if (tl_current_pool != nullptr) return *tl_current_pool;
+  // A worker's nested loops stay on its own pool: handing them to the
+  // global pool would run them on threads whose worker indices collide
+  // with this pool's PerThread slots.
+  if (ThreadPool* own = ThreadPool::current_owner()) return *own;
+  return ThreadPool::global();
 }
 
 PoolScope::PoolScope(ThreadPool& pool) : prev_(tl_current_pool) {

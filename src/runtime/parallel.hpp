@@ -39,7 +39,8 @@ using index_t = std::int64_t;
 index_t auto_grain(index_t n, int nthreads);
 
 /// The pool implicit consumers (core/consume.hpp) schedule on: a
-/// thread-local override if a PoolScope is active, else the global pool.
+/// thread-local override if a PoolScope is active, else the calling
+/// worker's own pool, else the global pool.
 ///
 /// The override exists for the two-level distributed runtime: each simulated
 /// cluster node (SPMD rank thread) owns its own pool, mirroring "cores of

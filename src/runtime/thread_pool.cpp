@@ -84,6 +84,8 @@ ThreadPool& ThreadPool::global() {
 
 int ThreadPool::current_worker() { return tl_worker; }
 
+ThreadPool* ThreadPool::current_owner() { return tl_pool; }
+
 void ThreadPool::submit_slot(const TaskSlot& slot) {
   slot.group->pending_.fetch_add(1, std::memory_order_acq_rel);
   if (tl_pool == this && tl_worker >= 0) {

@@ -37,12 +37,11 @@ using index_t = std::int64_t;
 
 class AutoTuner;
 
-/// kAuto is the model-driven mode (src/sched/tuner.hpp): the first round of
-/// a scheduled skeleton runs an instrumented measurement configuration, the
-/// measurements calibrate the sim:: cost model, and every later round runs
-/// the candidate configuration the model predicts fastest — re-picked each
-/// round as measurements refresh. kAuto never reaches the protocol itself:
-/// run_chunks resolves it to one of the three concrete policies per round.
+/// kAuto is the measuring mode (src/sched/tuner.hpp): the first three rounds
+/// of a scheduled skeleton run kStatic, kGuided and kDynamic, and every later
+/// round runs whichever of them measured fastest. kAuto never reaches the
+/// protocol itself: run_chunks resolves it to one of the three concrete
+/// policies per round.
 enum class SchedulePolicy { kStatic, kGuided, kDynamic, kAuto };
 
 /// How per-atom partial results are combined into the final answer.
@@ -146,9 +145,8 @@ inline index_t resolve_grain(index_t extent, int ranks, index_t requested,
 }
 
 /// Wire size of a Grant minus its task payload (done + three index_t
-/// fields) — the part of a grant that is control, not data. Lives here
-/// (not scheduler.hpp) so the tuner's cost model can price grant headers
-/// without pulling in the protocol templates.
+/// fields) — the part of a grant that is control, not data, and what
+/// SchedStats::control_bytes charges per grant.
 inline constexpr std::int64_t kGrantHeaderBytes = 1 + 3 * 8;
 
 /// Number of atoms a domain of `extent` outer units splits into.

@@ -129,9 +129,9 @@ class PoolDeltaScope {
 namespace detail {
 
 /// The scheduler body for one concrete policy (kStatic/kGuided/kDynamic).
-/// Factored out of run_chunks so the kAuto wrapper can re-enter with
-/// instrumented closures without run_chunks calling *itself*: the wrapper
-/// closures are fresh template types, so a self-call would instantiate
+/// Factored out of run_chunks so the kAuto wrapper can re-enter with its
+/// extent-recording `make` without run_chunks calling *itself*: the wrapper
+/// closure is a fresh template type, so a self-call would instantiate
 /// run_chunks without bound.
 template <typename MakeIter, typename OnChunk>
 void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
@@ -177,8 +177,8 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
     if (resident) rscope.emplace(comm, /*owner=*/0);
     if (opts.policy == SchedulePolicy::kStatic) {
       // Static: exactly one pre-assigned grant, no requests. Received
-      // through a handle so the serialized payload size is observable for
-      // the bytes-per-item calibration.
+      // through a handle so the serialized payload size is observable in
+      // grant_payload_bytes.
       net::PendingRecv pending = comm.irecv(0, tag_grant);
       Grant<It> g = pending.get<Grant<It>>();
       sched.grants_received += 1;
@@ -214,8 +214,8 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
       if (g.done) break;
       sched.grants_received += 1;
       // Receiver-side payload accounting: serialized bytes over granted
-      // units is the measured bytes-per-item the tuner calibrates with
-      // (residency tokens show up here as genuinely small payloads).
+      // units is the measured bytes per item (residency tokens show up
+      // here as genuinely small payloads).
       sched.grant_payload_bytes +=
           static_cast<std::int64_t>(next_grant.message().payload.size());
       sched.granted_items += core::outer_extent(g.task.domain());
@@ -402,39 +402,26 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
 /// on_chunk may run on pool workers, *concurrently* with itself — callers
 /// that pass streaming options must make on_chunk thread-safe. The stream
 /// is drained before run_chunks returns, so results are complete either
-/// way. Under SchedulePolicy::kAuto the tuner may pick any lattice point —
-/// including streaming — so on_chunk must be thread-safe under kAuto too.
+/// way. SchedulePolicy::kAuto keeps the caller's streaming flag, so the same
+/// rule holds under kAuto.
 template <typename MakeIter, typename OnChunk>
 void run_chunks(net::Comm& comm, MakeIter&& make, const SchedOptions& opts,
                 OnChunk&& on_chunk) {
   if (opts.policy == SchedulePolicy::kAuto) {
-    // Model-driven mode (sched/tuner.hpp): resolve this round's concrete
-    // options from the tuner, run them with an instrumented on_chunk that
-    // samples per-run durations, then fit + re-pick collectively from the
-    // round's counter delta.
+    // Audit-only mode (sched/tuner.hpp): run the tuner's policy for this
+    // round, then hand it the round's wall and the root's extent.
     AutoTuner& tuner = detail::tuner_for(comm, opts);
-    const SchedOptions round_opts = tuner.begin_round(opts);
-    const net::CommStats before = comm.snapshot_stats();
     index_t root_extent = -1;
-    double root_cost_cv = 0.0;
     Stopwatch wall;
     detail::run_chunks_concrete(
         comm,
         [&] {
           auto it = make();
           root_extent = core::outer_extent(it.domain());
-          root_cost_cv = core::outer_cost_cv(it.domain());
           return it;
         },
-        round_opts,
-        [&](const auto& run, index_t atom_lo, index_t atom_n, index_t grain) {
-          Stopwatch sw;
-          on_chunk(run, atom_lo, atom_n, grain);
-          tuner.record_run(atom_lo, grain, core::outer_extent(run.domain()),
-                           sw.seconds());
-        });
-    tuner.finish_round(comm, wall.seconds(), comm.snapshot_stats() - before,
-                       root_extent, root_cost_cv);
+        tuner.begin_round(opts), on_chunk);
+    tuner.finish_round(comm, wall.seconds(), root_extent);
     return;
   }
   detail::run_chunks_concrete(comm, make, opts, on_chunk);

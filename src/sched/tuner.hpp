@@ -1,107 +1,42 @@
 #pragma once
 
-// Model-driven autotuning for the demand scheduler (SchedulePolicy::kAuto).
+// Measurement-driven autotuning for the demand scheduler
+// (SchedulePolicy::kAuto).
 //
-// PRs 2–5 left SchedOptions a pile of hand-set knobs: policy, grain,
-// prefetch, streaming. The AutoTuner closes the measure→simulate loop the
-// benches already run by hand (bm_sched measures per-atom durations and
-// asks sim::makespan_demand which policy should win) and runs it *inside*
-// the scheduler, per round of an iterative job:
+// kAuto picks the scheduling policy of an iterative job by the clock, not by
+// a model:
 //
-//   round 0  measurement: the job runs under kDynamic with prefetch and
-//            streaming off — one atom per grant gives the model per-atom
-//            durations at full resolution, and an unhidden request/grant
-//            wait measures the true control round trip.
-//   fit      each rank allgathers its round sample (per-run durations plus
-//            its Comm::snapshot_stats() counter delta); every rank sums the
-//            identical data and calls sim::calibrate_from, recovering the
-//            compute / byte / latency coefficients (sim::Calibration).
-//   pick     candidate SchedOptions — policy x grain ladder x prefetch x
-//            streaming — are evaluated through makespan_demand /
-//            makespan_overlap / makespan_static_block on the measured atom
-//            durations; the predicted-best config is installed for the next
-//            round. Re-picked every round as measurements refresh.
-//   audit    the model is held to its word: when a picked round's measured
-//            wall blows past its prediction by kModelMistrust, the fit is
-//            demonstrably missing a cost the counters can't see (cold slice
-//            shipping on an atom-boundary change, an oversubscribed node,
-//            combine stalls), so the tuner stops arguing with the clock —
-//            it measures each policy's best-predicted variant once and then
-//            commits to the fastest *observed* configuration. Resident
-//            sources make this cheap: audit rounds that revisit an already
-//            shipped decomposition run warm, token-only.
+//   audit    the first three rounds of a tuned job run kStatic, kGuided and
+//            kDynamic, in that order, each with the caller's grain, combine,
+//            prefetch and streaming. Every audit round ends in one small
+//            allreduce that agrees on the round's max-over-ranks wall time
+//            and the root's extent.
+//   commit   after the third audit round the tuner commits to the policy
+//            whose audit round was fastest. Committed rounds run no
+//            collective, so the steady state pays nothing for the tuner.
 //
-// Determinism: all tuner state that influences a decision is derived from
-// allgathered data, so every rank computes bit-identical picks without a
-// broadcast — the SPMD analogue of the options being literal constants.
-// The audit path included: observations key off the allgathered max wall.
+// A change of extent while auditing (a different job shape under the same
+// key) discards the audit and restarts it from kStatic. Committed is
+// terminal for the tuner's lifetime: recreate the tuner, or use a fresh
+// tune_key, to re-tune a changed job.
 //
-// kOrdered safety: when the consumer combines in atom order (or the caller
-// pinned an explicit grain), the grain ladder collapses to the one
-// policy-independent resolve_grain value, so the atom decomposition — and
-// therefore every kOrdered result — is bitwise identical to every manual
-// configuration at that grain, no matter which policy/prefetch/streaming
-// combination the tuner picks.
+// Determinism: every decision is a pure function of allreduced values, so
+// all ranks commit to the same policy without a broadcast.
+//
+// kOrdered safety: the tuner never touches the grain, and resolve_grain does
+// not depend on the policy, so the atom decomposition — and therefore every
+// kOrdered result — is bitwise identical to every manual configuration.
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "net/comm.hpp"
 #include "sched/policy.hpp"
-#include "sim/schedule.hpp"
 
 namespace triolet::sched {
-
-/// One executed grant's measured duration, in outer-domain units so samples
-/// taken at one grain can be re-aggregated into atoms of any other grain.
-/// unit_lo is absolute within the job's domain; runs of one round are
-/// disjoint and cover it.
-struct RunSample {
-  std::int64_t unit_lo = 0;
-  std::int64_t units = 0;
-  double seconds = 0.0;
-};
-
-TRIOLET_SERIALIZE_FIELDS(RunSample, unit_lo, units, seconds)
-
-/// One candidate configuration and the model's verdict on it.
-struct TunedCandidate {
-  SchedulePolicy policy = SchedulePolicy::kStatic;
-  index_t grain = 1;  // resolved, always > 0
-  bool prefetch = true;
-  bool streaming = false;
-  double predicted_seconds = 0.0;
-
-  bool same_config(const TunedCandidate& o) const {
-    return policy == o.policy && grain == o.grain &&
-           prefetch == o.prefetch && streaming == o.streaming;
-  }
-};
-
-/// The best (minimum) measured wall of every configuration that has run at
-/// least one full round, in first-ran order. Feeds the audit path.
-struct ObservedConfig {
-  TunedCandidate cfg;          // predicted_seconds unused here
-  double wall_seconds = 0.0;   // min over the rounds this config ran
-};
-
-struct TunerConfig {
-  /// Grain ladder half-width in octaves around the resolve_grain default:
-  /// 2 explores {g/4, g/2, g, 2g, 4g}. Only open for kTree consumers — a
-  /// kOrdered consumer pins the grain (see header comment).
-  int grain_octaves = 2;
-  /// Include prefetch-off / streaming-on points in the lattice.
-  bool explore_prefetch = true;
-  bool explore_streaming = true;
-  /// Measured-over-predicted ratio past which the model is mistrusted and
-  /// the tuner switches to auditing real rounds (see header comment). The
-  /// default only fires on gross misses — cold shipping, oversubscription —
-  /// never on ordinary timing noise.
-  double model_mistrust = 3.0;
-};
 
 class AutoTuner;
 
@@ -118,83 +53,60 @@ struct TunerRegistry {
 };
 
 /// Per-rank autotuner state for one logical job. Rank-local, but every
-/// decision is a pure function of allgathered round samples, so all ranks'
+/// decision is a pure function of allreduced round walls, so all ranks'
 /// tuners stay in lockstep (see header comment). Used by run_chunks via
 /// SchedulePolicy::kAuto; usable directly for inspection in tests/benches.
 class AutoTuner {
  public:
-  /// How the next pick is chosen: by the makespan model (the default), by
-  /// working through the audit queue after a gross misprediction, or
-  /// committed to the best observed configuration. Committed is terminal
-  /// for the tuner's lifetime — committed rounds skip the per-round
-  /// collective entirely, so nothing new can be learned (recreate the
-  /// tuner, or use a fresh tune_key, to re-tune a changed job).
-  enum class PickMode { kModel, kAudit, kCommitted };
+  /// The policies the audit rounds run, in order.
+  static constexpr std::array<SchedulePolicy, 3> kAuditOrder{
+      SchedulePolicy::kStatic, SchedulePolicy::kGuided,
+      SchedulePolicy::kDynamic};
 
-  AutoTuner() = default;
-  explicit AutoTuner(TunerConfig cfg) : cfg_(cfg) {}
+  /// Auditing (the next round measures a policy) or committed (terminal).
+  enum class PickMode { kAudit, kCommitted };
 
   /// Completed rounds (finish_round calls).
   int rounds() const { return rounds_; }
   /// The configuration the next round will run (valid after one round).
   const SchedOptions& pick() const { return pick_; }
   bool have_pick() const { return have_pick_; }
-  /// Last fitted model coefficients.
-  const sim::Calibration& calibration() const { return cal_; }
-  /// The full evaluated lattice of the last finish_round, predicted-best
-  /// first is NOT guaranteed — entries keep lattice order; see pick().
-  const std::vector<TunedCandidate>& candidates() const { return cands_; }
-  /// Audit state: how the current pick was chosen and what has actually
-  /// been measured so far (min wall per configuration that ran).
   PickMode pick_mode() const { return mode_; }
-  const std::vector<ObservedConfig>& observations() const { return obs_; }
-  /// Max-over-ranks wall seconds of the last round, and what the model
-  /// predicted for the configuration that ran it (0 before any pick ran).
+  /// Wall seconds of the last round: max over ranks while auditing, this
+  /// rank's own clock once committed (committed rounds agree on nothing).
   double last_measured_seconds() const { return measured_; }
+  /// What the configuration that ran the last round measured in its own
+  /// audit round; 0 while auditing. Against last_measured_seconds() this
+  /// reads as drift of the committed policy.
   double last_predicted_seconds() const { return predicted_; }
-  /// Outer extent of the job as seen by the root (after one round).
+  /// Outer extent of the job as seen by the root (after one audit round).
   index_t extent() const { return extent_; }
 
   /// Resolves this round's concrete options from the user's kAuto options:
-  /// the measurement config on the first round (or after the job's extent
-  /// changed), the model's pick afterwards. Never returns kAuto. Also
-  /// begins the round's sample collection.
+  /// the next audit policy, or the committed one, with every other knob the
+  /// caller's. Never returns kAuto.
   SchedOptions begin_round(const SchedOptions& user);
 
-  /// Records one executed run (called by run_chunks' instrumented on_chunk
-  /// wrapper; thread-safe — streamed runs record from pool workers).
-  void record_run(index_t atom_lo, index_t grain, index_t units,
-                  double seconds);
-
-  /// Collective round finish: allgathers this rank's samples and counter
-  /// delta, refits the calibration, evaluates the candidate lattice, and
-  /// installs the predicted-best configuration for the next round.
-  /// `root_extent` is the job's outer extent on rank 0, -1 elsewhere;
-  /// `root_cost_cv` is the domain's per-unit cost-variance hint
-  /// (core::outer_cost_cv) on rank 0 — allgathered with the extent so every
-  /// rank pins the same cv-aware resolve_grain the concrete policies use.
+  /// Round finish. While auditing this is collective: the ranks allreduce
+  /// (max wall, root extent) and every rank records the identical figure.
+  /// `root_extent` is the job's outer extent on rank 0, -1 elsewhere.
   void finish_round(net::Comm& comm, double wall_seconds,
-                    const net::CommStats& delta, index_t root_extent,
-                    double root_cost_cv = 0.0);
+                    index_t root_extent);
 
  private:
-  TunerConfig cfg_{};
+  SchedOptions next_options() const;
+
   int rounds_ = 0;
+  std::size_t next_ = 0;  // kAuditOrder index of the next audit round
+  std::size_t best_ = 0;  // kAuditOrder index of the committed policy
   index_t extent_ = -1;
   bool have_pick_ = false;
-  SchedOptions user_{};  // the kAuto options begin_round saw (combine, grain)
-  SchedOptions ran_{};   // the concrete options of the in-flight round
+  PickMode mode_ = PickMode::kAudit;
+  SchedOptions user_{};  // the kAuto options begin_round saw
   SchedOptions pick_{};
-  sim::Calibration cal_{};
-  std::vector<TunedCandidate> cands_;
+  std::array<double, 3> audit_{};  // max-over-ranks wall per audited policy
   double measured_ = 0.0;
   double predicted_ = 0.0;
-  PickMode mode_ = PickMode::kModel;
-  std::vector<ObservedConfig> obs_;     // min measured wall per ran config
-  std::vector<TunedCandidate> audit_;   // configs still owed a real round
-
-  std::mutex mu_;  // guards runs_ (streamed on_chunk records concurrently)
-  std::vector<RunSample> runs_;
 };
 
 namespace detail {

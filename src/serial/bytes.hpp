@@ -308,6 +308,15 @@ class ByteReader {
     sentinel_ = std::move(s);
   }
 
+  /// Validates a decoded element count against the bytes left, before the
+  /// caller allocates for it: `n` elements of `elem_bytes` wire bytes each
+  /// must fit in remaining() (division, so a hostile `n` cannot overflow).
+  std::size_t checked_count(std::uint64_t n, std::size_t elem_bytes) const {
+    TRIOLET_CHECK(n <= remaining() / elem_bytes,
+                  "deserialization read past end of buffer");
+    return static_cast<std::size_t>(n);
+  }
+
   std::size_t remaining() const { return bytes_.size() - pos_; }
   bool exhausted() const { return pos_ == bytes_.size(); }
 

@@ -16,7 +16,9 @@
 // Everything round-trips through ByteWriter/ByteReader so a value can be
 // shipped over the net:: substrate as an opaque byte payload.
 
+#include <algorithm>
 #include <array>
+#include <functional>
 #include <map>
 #include <unordered_map>
 #include <cstdint>
@@ -95,11 +97,16 @@ struct Codec<std::vector<T>> {
   }
   static void read(ByteReader& r, std::vector<T>& v) {
     const auto n = r.read_pod<std::uint64_t>();
-    v.resize(static_cast<std::size_t>(n));
     if constexpr (std::is_trivially_copyable_v<T>) {
+      v.resize(r.checked_count(n, sizeof(T)));
       r.read_raw(v.data(), v.size() * sizeof(T));
     } else {
-      for (auto& e : v) serial::read(r, e);
+      // Element wire sizes are unknown up front: grow as elements decode,
+      // so a corrupt count fails at the first missing element instead of
+      // allocating for all of them.
+      v.clear();
+      v.reserve(std::min<std::uint64_t>(n, r.remaining()));
+      for (std::uint64_t i = 0; i < n; ++i) serial::read(r, v.emplace_back());
     }
   }
 };
@@ -113,8 +120,7 @@ struct Codec<std::vector<bool>> {
     for (bool b : v) w.write_pod<std::uint8_t>(b ? 1 : 0);
   }
   static void read(ByteReader& r, std::vector<bool>& v) {
-    const auto n = r.read_pod<std::uint64_t>();
-    v.resize(static_cast<std::size_t>(n));
+    v.resize(r.checked_count(r.read_pod<std::uint64_t>(), 1));
     for (std::size_t i = 0; i < v.size(); ++i) {
       v[i] = r.read_pod<std::uint8_t>() != 0;
     }
@@ -128,8 +134,7 @@ struct Codec<std::string> {
     w.write_borrowable(v.data(), v.size());
   }
   static void read(ByteReader& r, std::string& v) {
-    const auto n = r.read_pod<std::uint64_t>();
-    v.resize(static_cast<std::size_t>(n));
+    v.resize(r.checked_count(r.read_pod<std::uint64_t>(), 1));
     r.read_raw(v.data(), v.size());
   }
 };
@@ -242,6 +247,29 @@ struct Codec<T, std::enable_if_t<has_fields<T>::value>> {
   }
 };
 
+// -- fieldwise arithmetic for counter aggregates (TRIOLET_STATS_FIELDS) -------
+
+namespace detail {
+
+/// Applies `op` field by field: arithmetic leaves directly, std::array
+/// elementwise, declared aggregates through their field lists.
+template <typename T, typename Op>
+void fieldwise(T& a, const T& b, Op op) {
+  if constexpr (std::is_arithmetic_v<T>) {
+    a = op(a, b);
+  } else if constexpr (requires { std::tuple_size<T>::value; a[0]; }) {
+    for (std::size_t i = 0; i < a.size(); ++i) fieldwise(a[i], b[i], op);
+  } else {
+    triolet_visit_fields(a, [&](auto&... fa) {
+      triolet_visit_fields(const_cast<T&>(b), [&](auto&... fb) {
+        (fieldwise(fa, fb, op), ...);
+      });
+    });
+  }
+}
+
+}  // namespace detail
+
 // -- top-level convenience ----------------------------------------------------
 
 template <typename T>
@@ -289,3 +317,21 @@ std::size_t wire_size(const T& v) {
     auto& [__VA_ARGS__] = obj;                                   \
     f(__VA_ARGS__);                                              \
   }
+
+/// TRIOLET_SERIALIZE_FIELDS for counter aggregates: the same field list also
+/// generates fieldwise +=, -=, + and -, so a snapshot delta is `after -
+/// before` and per-rank counters sum with `+=`. Opt-in: ordinary
+/// serializable aggregates get no arithmetic. Every field must be
+/// arithmetic, a std::array of such, or itself declared with this macro.
+#define TRIOLET_STATS_FIELDS(Type, ...)                            \
+  TRIOLET_SERIALIZE_FIELDS(Type, __VA_ARGS__)                      \
+  inline Type& operator+=(Type& a, const Type& b) {                \
+    ::triolet::serial::detail::fieldwise(a, b, std::plus<>{});     \
+    return a;                                                      \
+  }                                                                \
+  inline Type& operator-=(Type& a, const Type& b) {                \
+    ::triolet::serial::detail::fieldwise(a, b, std::minus<>{});    \
+    return a;                                                      \
+  }                                                                \
+  inline Type operator+(Type a, const Type& b) { return a += b; }  \
+  inline Type operator-(Type a, const Type& b) { return a -= b; }

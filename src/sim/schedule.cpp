@@ -1,10 +1,8 @@
 #include "sim/schedule.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <queue>
 
-#include "net/comm.hpp"
 #include "support/macros.hpp"
 #include "support/rng.hpp"
 
@@ -109,66 +107,6 @@ double total_work(const std::vector<double>& tasks) {
   double sum = 0.0;
   for (double d : tasks) sum += d;
   return sum;
-}
-
-double cost_variation(const std::vector<double>& tasks) {
-  if (tasks.size() < 2) return 0.0;
-  double sum = 0.0;
-  for (double d : tasks) sum += d;
-  const double mean = sum / static_cast<double>(tasks.size());
-  if (mean <= 0.0) return 0.0;
-  double var = 0.0;
-  for (double d : tasks) var += (d - mean) * (d - mean);
-  return std::sqrt(var / static_cast<double>(tasks.size())) / mean;
-}
-
-Calibration calibrate_from(const net::CommStats& comm,
-                           const net::SchedStats& sched,
-                           const net::NodePoolStats& pool) {
-  Calibration c;
-  c.items = sched.items_executed;
-  if (sched.items_executed > 0 && sched.busy_seconds > 0.0) {
-    c.seconds_per_item =
-        sched.busy_seconds / static_cast<double>(sched.items_executed);
-  }
-  if (sched.items_executed > 0 && pool.tasks_executed > 0) {
-    c.tasks_per_item = static_cast<double>(pool.tasks_executed) /
-                       static_cast<double>(sched.items_executed);
-  }
-  if (sched.granted_items > 0) {
-    c.grant_bytes_per_item =
-        static_cast<double>(sched.grant_payload_bytes) /
-        static_cast<double>(sched.granted_items);
-  }
-  // Byte coefficient: every delivered byte is copied once into the payload;
-  // bytes staged through the serializer's copy stream pay a second pass.
-  // The measured zero-copy share interpolates between the two.
-  if (comm.bytes_sent > 0) {
-    const double copied_frac = static_cast<double>(comm.bytes_copied) /
-                               static_cast<double>(comm.bytes_sent);
-    c.seconds_per_grant_byte = 0.25e-9 * (1.0 + copied_frac);
-  }
-  // Latency decomposition needs request/grant traffic; a round without it
-  // (kStatic) leaves these at zero and the caller carries forward.
-  if (sched.steal_waits > 0 && sched.idle_seconds > 0.0) {
-    c.round_trip_seconds =
-        sched.idle_seconds / static_cast<double>(sched.steal_waits);
-    const double mean_chunk_seconds =
-        sched.chunks_executed > 0
-            ? sched.busy_seconds / static_cast<double>(sched.chunks_executed)
-            : 0.0;
-    c.service_delay_seconds =
-        std::min(0.5 * mean_chunk_seconds, c.round_trip_seconds);
-    const double mean_grant_bytes =
-        sched.grants_received > 0
-            ? static_cast<double>(sched.grant_payload_bytes) /
-                  static_cast<double>(sched.grants_received)
-            : 0.0;
-    c.latency_seconds =
-        std::max(0.0, c.round_trip_seconds - c.service_delay_seconds -
-                          mean_grant_bytes * c.seconds_per_grant_byte);
-  }
-  return c;
 }
 
 std::vector<double> StragglerModel::apply(std::vector<double> tasks,

@@ -57,7 +57,7 @@ void GrantArbiter::rotate_locked() {
   cv_.notify_all();
 }
 
-void GrantArbiter::acquire(std::uint64_t job, std::int64_t items) {
+std::int64_t GrantArbiter::acquire(std::uint64_t job, std::int64_t items) {
   std::unique_lock<std::mutex> lock(mu_);
   Entry* me = find_locked(job);
   if (me == nullptr || ring_.size() == 1) {
@@ -66,7 +66,7 @@ void GrantArbiter::acquire(std::uint64_t job, std::int64_t items) {
     auto& st = stats_[job];
     st.acquires += 1;
     st.acquired_items += items;
-    return;
+    return issued_++;
   }
   me->pending = items;
   bool counted_wait = false;
@@ -86,7 +86,7 @@ void GrantArbiter::acquire(std::uint64_t job, std::int64_t items) {
       st.acquired_items += items;
       if (counted_wait) st.wait_seconds += waited.seconds();
       cv_.notify_all();
-      return;
+      return issued_++;
     }
     if (h.pending == 0 || h.deficit <= 0) {
       // Idle head, or a head that spent its credit: move on. Progress is
@@ -104,6 +104,14 @@ void GrantArbiter::acquire(std::uint64_t job, std::int64_t items) {
     }
     cv_.wait(lock);
   }
+}
+
+bool GrantArbiter::waiting(std::uint64_t job) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& e : ring_) {
+    if (e.id == job) return e.pending > 0;
+  }
+  return false;
 }
 
 FairShareStats GrantArbiter::job_stats(std::uint64_t job) const {

@@ -59,8 +59,14 @@ class GrantArbiter {
 
   /// Blocks until it is `job`'s turn to issue a grant of `items` units.
   /// Called on the job root's rank thread (at most one caller per job).
-  /// Unregistered jobs pass straight through.
-  void acquire(std::uint64_t job, std::int64_t items);
+  /// Unregistered jobs pass straight through. Returns the grant's ordinal
+  /// among every grant this arbiter has issued, so callers can recover the
+  /// exact issue order across jobs.
+  std::int64_t acquire(std::uint64_t job, std::int64_t items);
+
+  /// True while `job`'s root is blocked in acquire, i.e. while the job
+  /// counts as backlogged for the rotation.
+  bool waiting(std::uint64_t job) const;
 
   FairShareStats job_stats(std::uint64_t job) const;
   int active_jobs() const;
@@ -85,6 +91,7 @@ class GrantArbiter {
   std::condition_variable cv_;
   std::vector<Entry> ring_;
   std::size_t head_ = 0;
+  std::int64_t issued_ = 0;  // grants issued so far, across all jobs
   std::unordered_map<std::uint64_t, FairShareStats> stats_;
 };
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -684,6 +685,75 @@ TEST(SchedStreaming, SingleRankStreamsSelfIssuedAtoms) {
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_NEAR(got, expect, 1e-9 * xs.size());
   EXPECT_GT(streamed, 0);
+}
+
+// -- CommStats deltas and grant payload counters ------------------------------
+
+TEST(CommStatsDelta, SnapshotDeltaIsolatesOneScheduledRound) {
+  // snapshot_stats() before/after brackets exactly one round's traffic:
+  // the delta sees the round's executed items, the full counters keep
+  // accumulating.
+  auto xs = random_array(4000, 55);
+  std::array<std::int64_t, 2> delta_items{};
+  std::array<std::int64_t, 2> total_items{};
+  auto res = net::Cluster::run(2, [&](net::Comm& comm) {
+    NodeRuntime node(2);
+    SchedOptions opts;
+    opts.policy = SchedulePolicy::kDynamic;
+    auto make = [&] { return from_array(xs); };
+    // A first round whose traffic must NOT appear in the bracketed delta.
+    (void)dist::sum(comm, make, opts);
+    const net::CommStats before = comm.snapshot_stats();
+    (void)dist::sum(comm, make, opts);
+    const net::CommStats d = comm.snapshot_stats() - before;
+    const auto rank = static_cast<std::size_t>(comm.rank());
+    delta_items[rank] = d.sched.items_executed;
+    total_items[rank] = comm.snapshot_stats().sched.items_executed;
+  });
+  ASSERT_TRUE(res.ok) << res.error;
+  // Each round executes every item exactly once across the cluster.
+  EXPECT_EQ(delta_items[0] + delta_items[1], xs.size());
+  EXPECT_EQ(total_items[0] + total_items[1], 2 * xs.size());
+}
+
+TEST(SchedStats, GrantPayloadCountersMeasureReceiverSideBytes) {
+  // Workers (not the root) receive grants and count their payload bytes
+  // and items. The cluster-wide granted_items is
+  // exactly the items the non-root ranks executed. Items must cost real
+  // compute: a trivial sum lets the root self-issue every atom before the
+  // first worker request even lands (oversubscribed ranks share cores).
+  auto xs = random_array(6000, 77);
+  std::array<net::SchedStats, 4> per_rank{};
+  auto res = net::Cluster::run(4, [&](net::Comm& comm) {
+    NodeRuntime node(2);
+    SchedOptions opts;
+    opts.policy = SchedulePolicy::kGuided;
+    opts.grain = 50;
+    auto make = [&] {
+      return core::map(from_array(xs), [](double x) {
+        double v = x;
+        for (int k = 0; k < 2000; ++k) v += std::sin(v + 1e-3 * k);
+        return v;
+      });
+    };
+    (void)dist::sum(comm, make, opts);
+    per_rank[static_cast<std::size_t>(comm.rank())] =
+        comm.snapshot_stats().sched;
+  });
+  ASSERT_TRUE(res.ok) << res.error;
+
+  std::int64_t granted = 0, executed_off_root = 0, payload = 0;
+  for (std::size_t r = 0; r < per_rank.size(); ++r) {
+    granted += per_rank[r].granted_items;
+    payload += per_rank[r].grant_payload_bytes;
+    if (r != 0) executed_off_root += per_rank[r].items_executed;
+  }
+  EXPECT_EQ(per_rank[0].granted_items, 0);  // the root grants, never receives
+  EXPECT_EQ(granted, executed_off_root);
+  EXPECT_GT(granted, 0);
+  // Grants carry real serialized tasks: bytes per item is at least one
+  // double's worth for this array-backed iterator.
+  EXPECT_GE(payload, granted * static_cast<std::int64_t>(sizeof(double)));
 }
 
 }  // namespace

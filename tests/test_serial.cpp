@@ -121,6 +121,73 @@ TEST(Serialize, TruncatedBufferIsRejected) {
   EXPECT_DEATH((void)from_bytes<std::vector<int>>(bytes), "past end");
 }
 
+// -- corrupt length prefixes -------------------------------------------------
+//
+// A decoder must check a length prefix against the bytes actually left
+// before it allocates for it. Each buffer below is tiny but claims an
+// enormous (or negative) element count; the decode must fail with the
+// library's bounds error, not allocate for the claim (bad_alloc,
+// length_error, or gigabytes zeroed before the check).
+
+std::vector<std::byte> prefix_then_padding(std::uint64_t prefix) {
+  ByteWriter w;
+  w.write_pod(prefix);
+  w.write_pod<std::uint64_t>(0);  // 8 bytes that are not the claimed data
+  return w.take();
+}
+
+constexpr std::uint64_t kHugeCount = ~std::uint64_t{0};
+
+TEST(SerializeDeath, VectorLengthPrefixIsCheckedBeforeAllocating) {
+  const auto bytes = prefix_then_padding(kHugeCount);
+  EXPECT_DEATH((void)from_bytes<std::vector<double>>(bytes), "read past end");
+  EXPECT_DEATH((void)from_bytes<std::vector<std::string>>(bytes),
+               "read past end");
+}
+
+TEST(SerializeDeath, StringLengthPrefixIsCheckedBeforeAllocating) {
+  const auto bytes = prefix_then_padding(kHugeCount);
+  EXPECT_DEATH((void)from_bytes<std::string>(bytes), "read past end");
+}
+
+TEST(SerializeDeath, VectorBoolLengthPrefixIsCheckedBeforeAllocating) {
+  const auto bytes = prefix_then_padding(kHugeCount);
+  EXPECT_DEATH((void)from_bytes<std::vector<bool>>(bytes), "read past end");
+}
+
+TEST(SerializeDeath, SegSeqUnitCountIsCheckedBeforeAllocating) {
+  const auto huge = prefix_then_padding(std::uint64_t{1} << 40);
+  EXPECT_DEATH((void)from_bytes<core::SegSeq>(huge), "read past end");
+  const auto negative = prefix_then_padding(static_cast<std::uint64_t>(-5));
+  EXPECT_DEATH((void)from_bytes<core::SegSeq>(negative),
+               "negative SegSeq unit count");
+}
+
+TEST(SerializeDeath, Array3DimsAreCheckedAgainstThePayload) {
+  // Dims claiming 2^60 elements over an 8-element payload.
+  ByteWriter w;
+  for (int d = 0; d < 3; ++d) {
+    w.write_pod<triolet::index_t>(triolet::index_t{1} << 20);
+  }
+  serial::write(w, std::vector<float>(8, 1.0f));
+  const auto bytes = w.take();
+  EXPECT_DEATH((void)from_bytes<Array3<float>>(bytes),
+               "Array3 payload size mismatch");
+}
+
+TEST(SerializeDeath, DistContextInlineLengthIsCheckedBeforeAllocating) {
+  ByteWriter w;
+  w.write_pod<std::uint64_t>(7);  // id
+  w.write_pod<std::uint64_t>(1);  // version
+  w.write_pod<std::uint64_t>(kHugeCount);  // len
+  w.write_pod<std::uint8_t>(0);   // inline
+  w.write_pod<std::uint64_t>(0);
+  const auto bytes = w.take();
+  EXPECT_DEATH(
+      (void)from_bytes<dist::ResidentCtx<std::vector<int>>>(bytes),
+      "read past end");
+}
+
 TEST(ByteReader, ViewRawBorrowsWithoutCopy) {
   std::vector<std::byte> buf(16, std::byte{0xAB});
   ByteReader r(buf);

@@ -4,11 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include <numeric>
 
-#include "net/comm.hpp"
 #include "sim/network_model.hpp"
 #include "sim/schedule.hpp"
 #include "sim/trace.hpp"
@@ -174,30 +171,16 @@ TEST(Schedulers, LptNeverWorseThanArrivalOrder) {
   }
 }
 
-TEST(Schedulers, CostVariationMeasuresSkew) {
-  // Degenerate profiles carry no signal.
-  EXPECT_DOUBLE_EQ(cost_variation({}), 0.0);
-  EXPECT_DOUBLE_EQ(cost_variation({5.0}), 0.0);
-  EXPECT_DOUBLE_EQ(cost_variation({2.0, 2.0, 2.0, 2.0}), 0.0);
-  // {1,1,1,9}: mean 3, population sd sqrt(12) -> cv = 2/sqrt(3).
-  EXPECT_NEAR(cost_variation({1, 1, 1, 9}), 2.0 / std::sqrt(3.0), 1e-12);
-  // Scale invariance: cv is a shape property, not a magnitude.
-  EXPECT_NEAR(cost_variation({10, 10, 10, 90}),
-              cost_variation({1, 1, 1, 9}), 1e-12);
-}
-
 TEST(Schedulers, PowerLawAtomsRewardDemandOverStatic) {
   // The segmented-matvec shape: the jumbo segment groups cluster (sorted
   // degree order, the common CSR layout), so one worker's contiguous
-  // static block absorbs most of the heavy atoms. The skew shows up in
-  // cost_variation, and the same profile is exactly where static blocks
-  // lose to demand claiming — the model-side statement of the bm_sparse
-  // acceptance ratio.
+  // static block absorbs most of the heavy atoms — exactly where static
+  // blocks lose to demand claiming, the model-side statement of the
+  // bm_sparse acceptance ratio.
   std::vector<double> atoms(128);
   for (std::size_t i = 0; i < atoms.size(); ++i) {
     atoms[i] = (i < 8) ? 20e-3 : 0.5e-3;
   }
-  EXPECT_GT(cost_variation(atoms), 1.0);
   const double dyn = makespan_dynamic(atoms, 8);
   const double sta = makespan_static_block(atoms, 8);
   EXPECT_GE(sta / dyn, 1.4);
@@ -359,116 +342,6 @@ TEST(DemandMakespan, SkewedChunksBeatStaticBlocks) {
   const double demand = makespan_demand(tasks, 8, 0.0);
   const double stat = makespan_static_block(tasks, 8);
   EXPECT_LT(demand * 1.3, stat);
-}
-
-// -- measured-counter calibration (sim::calibrate_from) -----------------------
-
-/// Counters of a synthetic demand-scheduled round with exactly known
-/// coefficients: `items` outer units at `spi` seconds each, executed as
-/// `chunks` uniform grants of `bytes_per_grant` payload, every claim first
-/// waiting the full `rt` round trip.
-net::CommStats synthetic_round(std::int64_t items, std::int64_t chunks,
-                               double spi, double rt,
-                               std::int64_t bytes_per_grant) {
-  net::CommStats s;
-  s.sched.items_executed = items;
-  s.sched.chunks_executed = chunks;
-  s.sched.busy_seconds = static_cast<double>(items) * spi;
-  s.sched.steal_waits = chunks;
-  s.sched.idle_seconds = static_cast<double>(chunks) * rt;
-  s.sched.grants_received = chunks;
-  s.sched.grant_payload_bytes = chunks * bytes_per_grant;
-  s.sched.granted_items = items;
-  return s;
-}
-
-TEST(Calibration, RecoversCoefficientsFromSyntheticCounters) {
-  const double spi = 1e-6, rt = 1e-3;
-  auto s = synthetic_round(8000, 80, spi, rt, 1000);
-  s.pool.tasks_executed = 4 * 8000;
-
-  const Calibration c = calibrate_from(s, s.sched, s.pool);
-  ASSERT_TRUE(c.valid());
-  EXPECT_EQ(c.items, 8000);
-  EXPECT_DOUBLE_EQ(c.seconds_per_item, spi);
-  EXPECT_DOUBLE_EQ(c.round_trip_seconds, rt);
-  EXPECT_DOUBLE_EQ(c.grant_bytes_per_item, 10.0);  // 80 * 1000 / 8000
-  EXPECT_DOUBLE_EQ(c.tasks_per_item, 4.0);
-  // No measured traffic: the per-byte coefficient stays at its default.
-  EXPECT_DOUBLE_EQ(c.seconds_per_grant_byte, kDefaultSecondsPerGrantByte);
-  // Mean chunk is 1e-4 s, so the service share is half that (below rt) and
-  // the wire latency is the remainder of the round trip.
-  EXPECT_DOUBLE_EQ(c.service_delay_seconds, 0.5e-4);
-  EXPECT_DOUBLE_EQ(c.latency_seconds,
-                   rt - 0.5e-4 - 1000.0 * c.seconds_per_grant_byte);
-}
-
-TEST(Calibration, ByteCoefficientTracksZeroCopyShare) {
-  net::CommStats s;
-  s.sched.items_executed = 1;
-  s.sched.busy_seconds = 1.0;
-  s.bytes_sent = 1000;
-
-  s.bytes_copied = 0;  // all zero-copy: one pass over the payload
-  EXPECT_DOUBLE_EQ(calibrate_from(s, s.sched, s.pool).seconds_per_grant_byte,
-                   0.25e-9);
-  s.bytes_copied = 1000;  // all staged: two passes
-  EXPECT_DOUBLE_EQ(calibrate_from(s, s.sched, s.pool).seconds_per_grant_byte,
-                   0.5e-9);
-  s.bytes_copied = 500;  // interpolates
-  EXPECT_DOUBLE_EQ(calibrate_from(s, s.sched, s.pool).seconds_per_grant_byte,
-                   0.375e-9);
-}
-
-TEST(Calibration, StaticRoundLeavesLatencyFieldsUnset) {
-  // A kStatic round has no request/grant traffic: compute and byte
-  // coefficients are still usable, the latency decomposition is not (the
-  // tuner carries the previous round's figures forward).
-  net::CommStats s;
-  s.sched.items_executed = 500;
-  s.sched.busy_seconds = 0.05;
-  const Calibration c = calibrate_from(s, s.sched, s.pool);
-  ASSERT_TRUE(c.valid());
-  EXPECT_DOUBLE_EQ(c.seconds_per_item, 1e-4);
-  EXPECT_DOUBLE_EQ(c.round_trip_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(c.service_delay_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(c.latency_seconds, 0.0);
-}
-
-TEST(Calibration, NothingMeasuredIsInvalid) {
-  net::CommStats s;
-  EXPECT_FALSE(calibrate_from(s, s.sched, s.pool).valid());
-}
-
-TEST(Calibration, RoundTripReproducesMeasuredMakespan) {
-  // The acceptance loop in miniature: synthesize the trace of a demand
-  // round with known coefficients, calibrate from its counters alone, then
-  // ask the calibrated model for the makespan of the very configuration
-  // that ran — it must reproduce the measured wall time.
-  const std::int64_t items = 8000, chunks = 80;
-  const std::int64_t bytes_per_grant = 1000;
-  const double spi = 1e-6, rt = 1e-3;
-  const int workers = 4;
-  const double chunk_seconds = spi * 100.0;  // 100 items per chunk
-  // Each worker claims 20 chunks back to back; every claim pays the full
-  // round trip (no prefetch in the measurement configuration).
-  const double measured_wall = 20.0 * (rt + chunk_seconds);
-
-  const auto s = synthetic_round(items, chunks, spi, rt, bytes_per_grant);
-  const Calibration c = calibrate_from(s, s.sched, s.pool);
-  ASSERT_TRUE(c.valid());
-
-  // overhead_for re-assembles latency + payload bytes + root service into
-  // exactly the measured round trip.
-  const double oh = c.overhead_for(static_cast<double>(bytes_per_grant),
-                                   chunk_seconds, /*streaming_root=*/false);
-  EXPECT_NEAR(oh, rt, 1e-12);
-
-  std::vector<double> model_chunks(
-      static_cast<std::size_t>(chunks),
-      100.0 * c.seconds_per_item);
-  const double predicted = makespan_demand(model_chunks, workers, oh);
-  EXPECT_NEAR(predicted, measured_wall, 1e-9 * measured_wall);
 }
 
 TEST(GrantOverhead, PricesTheFullRoundTrip) {

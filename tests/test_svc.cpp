@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <pthread.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -206,24 +207,55 @@ TEST(GrantArbiterTest, UnregisteredAndSoloJobsPassThrough) {
   EXPECT_EQ(arb.active_jobs(), 0);
 }
 
-/// Runs `per_job` quantum-sized acquires from two concurrent roots and
-/// returns the interleaved grant order.
+/// Runs `per_job` acquires from each of two concurrent roots and returns
+/// the job ids in issue order (sorted by the arbiter's grant ordinal, so
+/// the order does not depend on when each root gets to record its grant).
+///
+/// Between two acquires a root is not backlogged, and work-conserving DRR
+/// rightly skips it. So that the overlap window really has both jobs
+/// backlogged, a root starts its next acquire only once its peer is
+/// waiting in the arbiter, has been granted since this root's last grant,
+/// or has finished.
 std::vector<int> grant_order(GrantArbiter& arb, std::int64_t quantum,
                              int per_job, int items_a, int items_b) {
-  std::mutex mu;
-  std::vector<int> order;
-  auto root = [&](std::uint64_t job, int items) {
+  std::atomic<std::int64_t> last[2] = {-1, -1};
+  std::atomic<bool> done[2] = {false, false};
+  std::vector<std::int64_t> ordinals[2];
+  auto root = [&](int me, int items) {
+    const int peer = 1 - me;
+    const auto job = static_cast<std::uint64_t>(me + 1);
+    const auto peer_job = static_cast<std::uint64_t>(peer + 1);
     for (int i = 0; i < per_job; ++i) {
-      arb.acquire(job, items);
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(static_cast<int>(job));
+      if (i > 0) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!arb.waiting(peer_job) && last[peer].load() < last[me].load() &&
+               !done[peer].load()) {
+          if (std::chrono::steady_clock::now() > deadline) {
+            ADD_FAILURE() << "job " << job << " waited 10 s for its peer";
+            break;
+          }
+          std::this_thread::yield();
+        }
+      }
+      const std::int64_t ordinal = arb.acquire(job, items);
+      ordinals[me].push_back(ordinal);
+      last[me].store(ordinal);
     }
+    done[me].store(true);
   };
-  std::thread ta(root, 1, items_a);
-  std::thread tb(root, 2, items_b);
+  std::thread ta(root, 0, items_a);
+  std::thread tb(root, 1, items_b);
   ta.join();
   tb.join();
   (void)quantum;
+  std::vector<std::pair<std::int64_t, int>> issued;
+  for (int me = 0; me < 2; ++me) {
+    for (auto o : ordinals[me]) issued.emplace_back(o, me + 1);
+  }
+  std::sort(issued.begin(), issued.end());
+  std::vector<int> order;
+  for (const auto& [ordinal, job] : issued) order.push_back(job);
   return order;
 }
 

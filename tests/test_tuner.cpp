@@ -1,11 +1,12 @@
-// Tests for the model-driven autotuner (src/sched/tuner.hpp): measurement
-// configuration, calibration-driven picks on synthetic workloads with known
-// best answers, SPMD pick determinism, end-to-end kAuto rounds on real
+// Tests for the measuring autotuner (src/sched/tuner.hpp): the audit
+// sequence, commits driven by max-over-ranks walls, audit restarts on an
+// extent change, SPMD pick determinism, end-to-end kAuto rounds on real
 // cluster threads, and the kOrdered bitwise-identity invariant against
 // every manual configuration.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstring>
@@ -16,6 +17,7 @@
 #include "dist/skeletons.hpp"
 #include "net/cluster.hpp"
 #include "sched/tuner.hpp"
+#include "sim/schedule.hpp"
 #include "support/rng.hpp"
 
 namespace triolet::sched {
@@ -41,41 +43,64 @@ struct PickRecord {
   index_t grain = 0;
   bool prefetch = false;
   bool streaming = false;
+  bool committed = false;
   int rounds = 0;
 
   static PickRecord of(const AutoTuner& t) {
-    return {t.have_pick(), t.pick().policy, t.pick().grain,
-            t.pick().prefetch, t.pick().streaming, t.rounds()};
+    return {t.have_pick(),       t.pick().policy,    t.pick().grain,
+            t.pick().prefetch,   t.pick().streaming,
+            t.pick_mode() == AutoTuner::PickMode::kCommitted, t.rounds()};
   }
   bool same_config(const PickRecord& o) const {
     return have == o.have && policy == o.policy && grain == o.grain &&
-           prefetch == o.prefetch && streaming == o.streaming;
+           prefetch == o.prefetch && streaming == o.streaming &&
+           committed == o.committed;
   }
 };
 
-// -- measurement configuration ------------------------------------------------
-
-TEST(AutoTunerUnit, FirstRoundIsTheMeasurementConfiguration) {
-  // Before any data exists, begin_round must hand back the instrumented
-  // config: one-atom dynamic grants with nothing hiding the request->grant
-  // wait — and never kAuto itself.
-  AutoTuner t;
+SchedOptions auto_user() {
   SchedOptions user;
   user.policy = SchedulePolicy::kAuto;
-  user.combine = CombineMode::kOrdered;
-  user.grain = 7;
+  return user;
+}
 
-  const SchedOptions r0 = t.begin_round(user);
-  EXPECT_EQ(r0.policy, SchedulePolicy::kDynamic);
-  EXPECT_FALSE(r0.prefetch);
-  EXPECT_FALSE(r0.streaming);
-  EXPECT_EQ(r0.tuner, nullptr);
-  // Caller-visible semantics survive untouched: the combine mode and the
-  // pinned grain are the user's, only the scheduling knobs are replaced.
-  EXPECT_EQ(r0.combine, CombineMode::kOrdered);
-  EXPECT_EQ(r0.grain, 7);
-  EXPECT_FALSE(t.have_pick());
-  EXPECT_EQ(t.rounds(), 0);
+// -- the audit sequence -------------------------------------------------------
+
+TEST(AutoTunerUnit, FirstThreeRoundsAuditEachPolicyWithTheCallersKnobs) {
+  // Rounds 0-2 run static, guided, dynamic in that order; the caller's
+  // combine, grain, prefetch and streaming ride along untouched, the tuner
+  // pointer is cleared, and kAuto itself never comes back.
+  std::vector<SchedOptions> ran;
+  auto res = net::Cluster::run(1, [&](net::Comm& comm) {
+    AutoTuner t;
+    SchedOptions user = auto_user();
+    user.combine = CombineMode::kOrdered;
+    user.grain = 7;
+    user.prefetch = false;
+    user.streaming = true;
+    user.tuner = &t;
+    for (int r = 0; r < 4; ++r) {
+      ran.push_back(t.begin_round(user));
+      t.finish_round(comm, 1.0 + r, /*root_extent=*/100);
+    }
+  });
+  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_EQ(ran.size(), 4u);
+  const SchedulePolicy expect[] = {SchedulePolicy::kStatic,
+                                   SchedulePolicy::kGuided,
+                                   SchedulePolicy::kDynamic};
+  for (std::size_t r = 0; r < ran.size(); ++r) {
+    if (r < 3) {
+      EXPECT_EQ(ran[r].policy, expect[r]) << "round " << r;
+    }
+    EXPECT_EQ(ran[r].combine, CombineMode::kOrdered);
+    EXPECT_EQ(ran[r].grain, 7);
+    EXPECT_FALSE(ran[r].prefetch);
+    EXPECT_TRUE(ran[r].streaming);
+    EXPECT_EQ(ran[r].tuner, nullptr);
+  }
+  // Walls 1, 2, 3: static measured fastest, so round 3 runs it.
+  EXPECT_EQ(ran[3].policy, SchedulePolicy::kStatic);
 }
 
 TEST(AutoTunerUnit, RegistryKeysSeparateJobsAndCallerOwnedWins) {
@@ -101,144 +126,213 @@ TEST(AutoTunerUnit, RegistryKeysSeparateJobsAndCallerOwnedWins) {
   EXPECT_TRUE(caller_owned_wins);
 }
 
-// -- synthetic workloads with known best answers ------------------------------
+TEST(AutoTunerUnit, ExtentChangeMidAuditRestartsTheAudit) {
+  // Static and guided audit extent 100; the third round arrives with extent
+  // 200, a different job under the same key. Its wall and the earlier two
+  // are discarded, and the audit starts over from static.
+  std::vector<SchedulePolicy> ran;
+  std::vector<bool> committed_after;
+  auto res = net::Cluster::run(2, [&](net::Comm& comm) {
+    AutoTuner t;
+    const index_t extents[] = {100, 100, 200, 200, 200, 200, 200};
+    const double walls[] = {0.1, 0.2, 5.0, 3.0, 2.0, 1.0, 9.0};
+    for (std::size_t r = 0; r < std::size(extents); ++r) {
+      const SchedOptions o = t.begin_round(auto_user());
+      t.finish_round(comm, walls[r], comm.rank() == 0 ? extents[r] : -1);
+      if (comm.rank() == 0) {
+        ran.push_back(o.policy);
+        committed_after.push_back(t.pick_mode() ==
+                                  AutoTuner::PickMode::kCommitted);
+      }
+    }
+    EXPECT_EQ(t.extent(), 200);
+  });
+  ASSERT_TRUE(res.ok) << res.error;
+  const std::vector<SchedulePolicy> expect = {
+      SchedulePolicy::kStatic, SchedulePolicy::kGuided,
+      SchedulePolicy::kDynamic,  // extent changed: discarded
+      SchedulePolicy::kStatic,  SchedulePolicy::kGuided,
+      SchedulePolicy::kDynamic,
+      SchedulePolicy::kDynamic};  // committed: fastest of 3.0, 2.0, 1.0
+  EXPECT_EQ(ran, expect);
+  EXPECT_EQ(committed_after,
+            (std::vector<bool>{false, false, false, false, false, true, true}));
+}
 
-/// Drives one tuner round on a 4-rank cluster from synthetic measurements:
-/// rank 0 records `per_unit_seconds` (one run per outer unit, the
-/// measurement round's shape) plus the given counter delta; everyone else
-/// contributes empty samples. Returns each rank's resulting pick.
-std::array<PickRecord, 4> synthetic_pick(
-    const std::vector<double>& per_unit_seconds, double round_trip_seconds,
-    std::int64_t bytes_per_unit) {
+// -- commits by the max-over-ranks wall ---------------------------------------
+
+/// Runs three audit rounds plus one committed round on a 4-rank cluster,
+/// each rank reporting walls[policy][rank] for its audit rounds. Returns
+/// each rank's state after the fourth round.
+std::array<PickRecord, 4> injected_audit(
+    const std::array<std::array<double, 4>, 3>& walls) {
   std::array<PickRecord, 4> picks{};
   auto res = net::Cluster::run(4, [&](net::Comm& comm) {
     AutoTuner t;
-    SchedOptions user;
-    user.policy = SchedulePolicy::kAuto;
-    (void)t.begin_round(user);
-
-    const auto extent = static_cast<index_t>(per_unit_seconds.size());
-    net::CommStats delta;
-    double wall = 0.0;
-    if (comm.rank() == 0) {
-      for (index_t i = 0; i < extent; ++i) {
-        t.record_run(/*atom_lo=*/i, /*grain=*/1, /*units=*/1,
-                     per_unit_seconds[static_cast<std::size_t>(i)]);
-        delta.sched.busy_seconds += per_unit_seconds[
-            static_cast<std::size_t>(i)];
-      }
-      delta.sched.items_executed = extent;
-      delta.sched.chunks_executed = extent;
-      delta.sched.steal_waits = extent;
-      delta.sched.idle_seconds =
-          static_cast<double>(extent) * round_trip_seconds;
-      delta.sched.grants_received = extent;
-      delta.sched.grant_payload_bytes = extent * bytes_per_unit;
-      delta.sched.granted_items = extent;
-      wall = delta.sched.busy_seconds + delta.sched.idle_seconds;
+    const auto rank = static_cast<std::size_t>(comm.rank());
+    for (std::size_t r = 0; r < 4; ++r) {
+      (void)t.begin_round(auto_user());
+      const double wall = r < 3 ? walls[r][rank] : 0.5;
+      t.finish_round(comm, wall, comm.rank() == 0 ? index_t{64} : index_t{-1});
     }
-    t.finish_round(comm, wall, delta,
-                   comm.rank() == 0 ? extent : index_t{-1});
-    picks[static_cast<std::size_t>(comm.rank())] = PickRecord::of(t);
+    picks[rank] = PickRecord::of(t);
   });
   EXPECT_TRUE(res.ok) << res.error;
   return picks;
 }
 
+TEST(AutoTunerPick, CommitsToTheLowestMaxOverRanksWall) {
+  // The ranks disagree: on its own clock every rank but rank 3 saw static
+  // fastest, and rank 3 saw dynamic fastest. The round's cost is its
+  // slowest rank, so the max walls are static 0.9, guided 0.5, dynamic
+  // 0.6 — every rank must commit to guided.
+  const std::array<std::array<double, 4>, 3> walls = {{
+      {0.10, 0.10, 0.10, 0.90},  // static: one straggler
+      {0.50, 0.45, 0.40, 0.50},  // guided: even
+      {0.20, 0.60, 0.20, 0.05},  // dynamic
+  }};
+  const auto picks = injected_audit(walls);
+  for (const auto& p : picks) {
+    ASSERT_TRUE(p.have);
+    EXPECT_TRUE(p.committed);
+    EXPECT_EQ(p.policy, SchedulePolicy::kGuided) << to_string(p.policy);
+    EXPECT_EQ(p.rounds, 4);
+  }
+}
+
+/// Per-rank audit walls for a 4-rank job whose outer units cost `costs`
+/// seconds each and whose every grant pays `round_trip` seconds of control:
+/// kStatic hands each rank one contiguous block behind a single grant,
+/// kGuided claims chunks of remaining / (2 x ranks) units, and kDynamic
+/// claims one unit at a time. The demand policies finish together, so every
+/// rank reports the same makespan for them.
+std::array<std::array<double, 4>, 3> policy_walls(
+    const std::vector<double>& costs, double round_trip) {
+  constexpr int kRanks = 4;
+  const auto n = static_cast<index_t>(costs.size());
+  std::array<std::array<double, 4>, 3> walls{};
+  for (int r = 0; r < kRanks; ++r) {
+    double block = round_trip;
+    for (index_t i = n * r / kRanks; i < n * (r + 1) / kRanks; ++i) {
+      block += costs[static_cast<std::size_t>(i)];
+    }
+    walls[0][static_cast<std::size_t>(r)] = block;
+  }
+  std::vector<double> guided;
+  for (index_t lo = 0; lo < n;) {
+    const index_t take = std::max<index_t>(1, (n - lo) / (2 * kRanks));
+    double chunk = 0.0;
+    for (index_t i = lo; i < lo + take; ++i) {
+      chunk += costs[static_cast<std::size_t>(i)];
+    }
+    guided.push_back(chunk);
+    lo += take;
+  }
+  walls[1].fill(sim::makespan_demand(guided, kRanks, round_trip));
+  walls[2].fill(sim::makespan_demand(costs, kRanks, round_trip));
+  return walls;
+}
+
 TEST(AutoTunerPick, SkewedWorkloadPicksADemandPolicy) {
   // Triangular per-unit costs (the tpacf shape) with a cheap control round
   // trip: static blocks leave the last rank with ~44% of the work, demand
-  // claiming balances it — the model must not pick kStatic.
+  // claiming balances it, so the audit must not commit to kStatic.
   std::vector<double> tri(64);
   for (std::size_t i = 0; i < tri.size(); ++i) {
     tri[i] = static_cast<double>(i + 1) * 1e-3;
   }
-  const auto picks = synthetic_pick(tri, /*round_trip=*/1e-4,
-                                    /*bytes_per_unit=*/100);
+  const auto picks = injected_audit(policy_walls(tri, /*round_trip=*/1e-4));
   for (const auto& p : picks) {
     ASSERT_TRUE(p.have);
+    EXPECT_TRUE(p.committed);
     EXPECT_TRUE(p.policy == SchedulePolicy::kGuided ||
                 p.policy == SchedulePolicy::kDynamic)
         << to_string(p.policy);
-    EXPECT_EQ(p.rounds, 1);
+    EXPECT_EQ(p.rounds, 4);
   }
 }
 
 TEST(AutoTunerPick, UniformWorkloadWithCostlyControlPicksStatic) {
   // Uniform tiny units behind an expensive round trip: every demand claim
   // pays ~50ms of control for 0.1ms of work, while static pays one grant
-  // latency total. The model must pick kStatic.
-  std::vector<double> uni(64, 1e-4);
-  const auto picks = synthetic_pick(uni, /*round_trip=*/5e-2,
-                                    /*bytes_per_unit=*/16);
+  // latency total. The audit must commit to kStatic.
+  const std::vector<double> uni(64, 1e-4);
+  const auto picks = injected_audit(policy_walls(uni, /*round_trip=*/5e-2));
   for (const auto& p : picks) {
     ASSERT_TRUE(p.have);
+    EXPECT_TRUE(p.committed);
     EXPECT_EQ(p.policy, SchedulePolicy::kStatic) << to_string(p.policy);
   }
 }
 
 TEST(AutoTunerPick, PowerLawSkewRecordsCostCvAndPicksDemand) {
   // The segmented-source shape: most units are tiny, the jumbo segment
-  // groups cluster at the front (sorted degree order). One measured round
-  // must (a) record the per-atom skew on the calibration, and (b) pick a
-  // demand policy — static blocks strand the jumbo cluster on one rank.
+  // groups cluster at the front (sorted degree order). Static blocks strand
+  // the jumbo cluster on rank 0, and guided's first chunk swallows it too,
+  // so the audit must commit to a demand policy. Every rank must also
+  // record the identical skewed cost profile it measured: each audit
+  // round's max-over-ranks wall, and on the committed round the committed
+  // policy's own audit wall.
   std::vector<double> jumbo(64);
   for (std::size_t i = 0; i < jumbo.size(); ++i) {
     jumbo[i] = (i < 4) ? 20e-3 : 0.5e-3;
   }
-  std::array<double, 4> cvs{};
+  const auto walls = policy_walls(jumbo, /*round_trip=*/1e-4);
+  std::array<double, 3> max_wall{};
+  for (std::size_t p = 0; p < 3; ++p) {
+    max_wall[p] = *std::max_element(walls[p].begin(), walls[p].end());
+  }
+  std::array<std::array<double, 3>, 4> measured{};
+  std::array<double, 4> committed_audit_wall{};
   std::array<PickRecord, 4> picks{};
   auto res = net::Cluster::run(4, [&](net::Comm& comm) {
     AutoTuner t;
-    SchedOptions user;
-    user.policy = SchedulePolicy::kAuto;
-    (void)t.begin_round(user);
-    const auto extent = static_cast<index_t>(jumbo.size());
-    net::CommStats delta;
-    double wall = 0.0;
-    if (comm.rank() == 0) {
-      for (index_t i = 0; i < extent; ++i) {
-        t.record_run(i, 1, 1, jumbo[static_cast<std::size_t>(i)]);
-        delta.sched.busy_seconds += jumbo[static_cast<std::size_t>(i)];
-      }
-      delta.sched.items_executed = extent;
-      delta.sched.chunks_executed = extent;
-      delta.sched.steal_waits = extent;
-      delta.sched.idle_seconds = static_cast<double>(extent) * 1e-4;
-      delta.sched.grants_received = extent;
-      delta.sched.grant_payload_bytes = extent * 100;
-      delta.sched.granted_items = extent;
-      wall = delta.sched.busy_seconds + delta.sched.idle_seconds;
+    const auto rank = static_cast<std::size_t>(comm.rank());
+    for (std::size_t r = 0; r < 4; ++r) {
+      (void)t.begin_round(auto_user());
+      const double wall = r < 3 ? walls[r][rank] : 1e-3;
+      t.finish_round(comm, wall, comm.rank() == 0 ? index_t{64} : index_t{-1});
+      if (r < 3) measured[rank][r] = t.last_measured_seconds();
     }
-    // The domain-side hint (core::outer_cost_cv of the SegSeq weights)
-    // rides the same allgather as the extent.
-    t.finish_round(comm, wall, delta, comm.rank() == 0 ? extent : index_t{-1},
-                   comm.rank() == 0 ? 1.3 : 0.0);
-    cvs[static_cast<std::size_t>(comm.rank())] = t.calibration().cost_cv;
-    picks[static_cast<std::size_t>(comm.rank())] = PickRecord::of(t);
+    committed_audit_wall[rank] = t.last_predicted_seconds();
+    picks[rank] = PickRecord::of(t);
   });
   ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_GT(cvs[0], 1.0);  // rank 0 measured the profile
-  for (const auto& p : picks) {
-    ASSERT_TRUE(p.have);
-    EXPECT_TRUE(p.policy == SchedulePolicy::kGuided ||
-                p.policy == SchedulePolicy::kDynamic)
-        << to_string(p.policy);
-  }
-  for (std::size_t r = 1; r < picks.size(); ++r) {
+  // The static round's straggler is rank 0 with the whole jumbo cluster:
+  // its wall is several times the demand policies' balanced wall.
+  EXPECT_GT(max_wall[0], 2.0 * max_wall[2]);
+  for (std::size_t r = 0; r < picks.size(); ++r) {
+    for (std::size_t p = 0; p < 3; ++p) {
+      EXPECT_EQ(measured[r][p], max_wall[p]) << "rank " << r << " policy " << p;
+    }
+    ASSERT_TRUE(picks[r].have);
+    EXPECT_TRUE(picks[r].committed);
+    EXPECT_TRUE(picks[r].policy == SchedulePolicy::kGuided ||
+                picks[r].policy == SchedulePolicy::kDynamic)
+        << to_string(picks[r].policy);
+    const std::size_t chosen =
+        picks[r].policy == SchedulePolicy::kGuided ? 1 : 2;
+    EXPECT_EQ(committed_audit_wall[r], max_wall[chosen]) << "rank " << r;
     EXPECT_TRUE(picks[0].same_config(picks[r])) << "rank " << r;
   }
 }
 
 TEST(AutoTunerPick, AllRanksPickTheIdenticalConfiguration) {
-  // The pick is a pure function of allgathered data: every rank must land
-  // on the same configuration without any broadcast.
-  std::vector<double> mixed(48);
-  Xoshiro256 rng(17);
-  for (auto& d : mixed) d = rng.uniform(1e-4, 5e-3);
-  const auto picks = synthetic_pick(mixed, 1e-3, 64);
-  for (std::size_t r = 1; r < picks.size(); ++r) {
-    EXPECT_TRUE(picks[0].same_config(picks[r])) << "rank " << r;
+  // The commit is a pure function of allreduced walls: with every rank
+  // reporting its own random walls, all ranks land on the same
+  // configuration without any broadcast.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    std::array<std::array<double, 4>, 3> walls{};
+    Xoshiro256 rng(seed);
+    for (auto& row : walls) {
+      for (auto& w : row) w = rng.uniform(1e-3, 1.0);
+    }
+    const auto picks = injected_audit(walls);
+    for (std::size_t r = 0; r < picks.size(); ++r) {
+      ASSERT_TRUE(picks[r].committed) << "seed " << seed << " rank " << r;
+      EXPECT_TRUE(picks[0].same_config(picks[r]))
+          << "seed " << seed << " rank " << r;
+    }
   }
 }
 
@@ -252,7 +346,6 @@ TEST(AutoSched, StaysCorrectEveryRoundAndConverges) {
   const int kRounds = 4;
   std::vector<double> results;
   std::array<PickRecord, 4> picks{};
-  std::array<bool, 4> cal_valid{};
   auto res = net::Cluster::run(4, [&](net::Comm& comm) {
     NodeRuntime node(2);
     AutoTuner t;
@@ -268,19 +361,18 @@ TEST(AutoSched, StaysCorrectEveryRoundAndConverges) {
     }
     const auto rank = static_cast<std::size_t>(comm.rank());
     picks[rank] = PickRecord::of(t);
-    cal_valid[rank] = t.calibration().valid();
   });
   ASSERT_TRUE(res.ok) << res.error;
 
-  // Every round — the measurement round included — returns the right sum.
+  // Every round — the audit rounds included — returns the right sum.
   ASSERT_EQ(results.size(), static_cast<std::size_t>(kRounds));
   for (double v : results) {
     EXPECT_NEAR(v, expect, 1e-9 * std::abs(expect));
   }
-  // After kRounds rounds every rank holds a valid calibration and an
-  // identical concrete pick.
+  // Three audit rounds and one committed round later, every rank holds an
+  // identical concrete committed pick.
   for (std::size_t r = 0; r < picks.size(); ++r) {
-    EXPECT_TRUE(cal_valid[r]) << "rank " << r;
+    EXPECT_TRUE(picks[r].committed) << "rank " << r;
     ASSERT_TRUE(picks[r].have) << "rank " << r;
     EXPECT_EQ(picks[r].rounds, kRounds) << "rank " << r;
     EXPECT_NE(picks[r].policy, SchedulePolicy::kAuto);
@@ -290,13 +382,14 @@ TEST(AutoSched, StaysCorrectEveryRoundAndConverges) {
 
 TEST(AutoSched, RegistryCarriesStateAcrossCallsWithSharedKey) {
   // Without a caller-owned tuner, rounds that share a tune_key accumulate
-  // in the Comm's registry: the second call must no longer be a
-  // measurement round (it runs the model's pick).
+  // in the Comm's registry: the three calls are one audit, so the keyed
+  // tuner has committed after them.
   auto xs = random_array(8000, 21);
   double expect = 0;
   for (index_t i = 0; i < xs.size(); ++i) expect += xs[i];
 
   std::array<int, 4> rounds_after{};
+  std::array<bool, 4> committed_after{};
   std::vector<double> results;
   auto res = net::Cluster::run(4, [&](net::Comm& comm) {
     NodeRuntime node(2);
@@ -309,23 +402,26 @@ TEST(AutoSched, RegistryCarriesStateAcrossCallsWithSharedKey) {
     }
     SchedOptions probe;
     probe.tune_key = 42;
-    rounds_after[static_cast<std::size_t>(comm.rank())] =
-        detail::tuner_for(comm, probe).rounds();
+    const AutoTuner& t = detail::tuner_for(comm, probe);
+    rounds_after[static_cast<std::size_t>(comm.rank())] = t.rounds();
+    committed_after[static_cast<std::size_t>(comm.rank())] =
+        t.pick_mode() == AutoTuner::PickMode::kCommitted;
   });
   ASSERT_TRUE(res.ok) << res.error;
   ASSERT_EQ(results.size(), 3u);
   for (double v : results) EXPECT_NEAR(v, expect, 1e-9 * xs.size());
   for (int r : rounds_after) EXPECT_EQ(r, 3);
+  for (bool c : committed_after) EXPECT_TRUE(c);
 }
 
 // -- the kOrdered invariant under autotuning ----------------------------------
 
 TEST(AutoSched, OrderedCombineBitwiseIdenticalToEveryManualConfig) {
   // Mixed-magnitude doubles make any reordering of the fold visible in the
-  // low bits. kAuto may pick any policy/prefetch/streaming combination per
-  // round; with kOrdered it must pin the grain, so every round's result —
-  // and every manual configuration at the same (auto-resolved) grain —
-  // must be the same bits.
+  // low bits. kAuto runs a different policy in each audit round and never
+  // touches the grain, so every round's result — and every manual
+  // configuration at the same (auto-resolved) grain — must be the same
+  // bits.
   Xoshiro256 rng(29);
   Array1<double> xs(4096);
   for (index_t i = 0; i < xs.size(); ++i) {
@@ -391,102 +487,6 @@ TEST(AutoSched, OrderedCombineBitwiseIdenticalToEveryManualConfig) {
         << "kAuto round " << r << " diverged: " << reference[0] << " vs "
         << got[r];
   }
-}
-
-// -- stats plumbing the tuner rides on ----------------------------------------
-
-TEST(CommStatsDelta, SubtractionIsFieldwiseAcrossNestedStructs) {
-  net::CommStats a, b;
-  a.bytes_sent = 100;
-  b.bytes_sent = 40;
-  a.sched.items_executed = 10;
-  b.sched.items_executed = 4;
-  a.sched.busy_seconds = 2.5;
-  b.sched.busy_seconds = 1.0;
-  a.sched.grant_payload_bytes = 900;
-  b.sched.grant_payload_bytes = 300;
-  a.pool.tasks_executed = 8;
-  b.pool.tasks_executed = 3;
-  a.residency.bytes_avoided = 50;
-  b.residency.bytes_avoided = 20;
-  a.collectives[0].calls = 5;
-  b.collectives[0].calls = 2;
-
-  const net::CommStats d = a - b;
-  EXPECT_EQ(d.bytes_sent, 60);
-  EXPECT_EQ(d.sched.items_executed, 6);
-  EXPECT_DOUBLE_EQ(d.sched.busy_seconds, 1.5);
-  EXPECT_EQ(d.sched.grant_payload_bytes, 600);
-  EXPECT_EQ(d.pool.tasks_executed, 5);
-  EXPECT_EQ(d.residency.bytes_avoided, 30);
-  EXPECT_EQ(d.collectives[0].calls, 3);
-}
-
-TEST(CommStatsDelta, SnapshotDeltaIsolatesOneScheduledRound) {
-  // snapshot_stats() before/after brackets exactly one round's traffic:
-  // the delta sees the round's executed items, the full counters keep
-  // accumulating.
-  auto xs = random_array(4000, 55);
-  std::array<std::int64_t, 2> delta_items{};
-  std::array<std::int64_t, 2> total_items{};
-  auto res = net::Cluster::run(2, [&](net::Comm& comm) {
-    NodeRuntime node(2);
-    SchedOptions opts;
-    opts.policy = SchedulePolicy::kDynamic;
-    auto make = [&] { return from_array(xs); };
-    // A first round whose traffic must NOT appear in the bracketed delta.
-    (void)dist::sum(comm, make, opts);
-    const net::CommStats before = comm.snapshot_stats();
-    (void)dist::sum(comm, make, opts);
-    const net::CommStats d = comm.snapshot_stats() - before;
-    const auto rank = static_cast<std::size_t>(comm.rank());
-    delta_items[rank] = d.sched.items_executed;
-    total_items[rank] = comm.snapshot_stats().sched.items_executed;
-  });
-  ASSERT_TRUE(res.ok) << res.error;
-  // Each round executes every item exactly once across the cluster.
-  EXPECT_EQ(delta_items[0] + delta_items[1], xs.size());
-  EXPECT_EQ(total_items[0] + total_items[1], 2 * xs.size());
-}
-
-TEST(SchedStats, GrantPayloadCountersMeasureReceiverSideBytes) {
-  // Workers (not the root) receive grants; their payload byte and item
-  // counters feed grant_bytes_per_item. The cluster-wide granted_items is
-  // exactly the items the non-root ranks executed. Items must cost real
-  // compute: a trivial sum lets the root self-issue every atom before the
-  // first worker request even lands (oversubscribed ranks share cores).
-  auto xs = random_array(6000, 77);
-  std::array<net::SchedStats, 4> per_rank{};
-  auto res = net::Cluster::run(4, [&](net::Comm& comm) {
-    NodeRuntime node(2);
-    SchedOptions opts;
-    opts.policy = SchedulePolicy::kGuided;
-    opts.grain = 50;
-    auto make = [&] {
-      return core::map(from_array(xs), [](double x) {
-        double v = x;
-        for (int k = 0; k < 2000; ++k) v += std::sin(v + 1e-3 * k);
-        return v;
-      });
-    };
-    (void)dist::sum(comm, make, opts);
-    per_rank[static_cast<std::size_t>(comm.rank())] =
-        comm.snapshot_stats().sched;
-  });
-  ASSERT_TRUE(res.ok) << res.error;
-
-  std::int64_t granted = 0, executed_off_root = 0, payload = 0;
-  for (std::size_t r = 0; r < per_rank.size(); ++r) {
-    granted += per_rank[r].granted_items;
-    payload += per_rank[r].grant_payload_bytes;
-    if (r != 0) executed_off_root += per_rank[r].items_executed;
-  }
-  EXPECT_EQ(per_rank[0].granted_items, 0);  // the root grants, never receives
-  EXPECT_EQ(granted, executed_off_root);
-  EXPECT_GT(granted, 0);
-  // Grants carry real serialized tasks: bytes per item is at least one
-  // double's worth for this array-backed iterator.
-  EXPECT_GE(payload, granted * static_cast<std::int64_t>(sizeof(double)));
 }
 
 }  // namespace
